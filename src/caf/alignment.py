@@ -440,15 +440,6 @@ def error_bound(p: int, c5: float) -> float:
     return math.exp(-0.5 * c5 * c5 * p)
 
 
-def _primes_upto(n: int):
-    sieve = np.ones(max(n + 1, 3), dtype=bool)
-    sieve[:2] = False
-    for i in range(2, int(n**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = False
-    return np.nonzero(sieve)[0]
-
-
 def select_parameters(
     target_power: float, k: int, H=None, L: int | None = None, log2_target: bool = False
 ) -> tuple[int, int]:

@@ -531,10 +531,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     config = parse_config(args.config) if args.config else {}
     for item in args.set:
-        key, value = item.split("=", 1)
+        key, sep, value = item.partition("=")
+        if not sep:
+            parser.error(f"--set expects KEY=VALUE, got {item!r}")
         key = key.strip().replace("-", "_")
         config[key] = ([_coerce(t) for t in value.split(",")] if "," in value
                        else _coerce(value))

@@ -32,6 +32,15 @@ class TestConfig:
         assert blob["config"]["seed"] == 9
         assert blob["config"]["h2_points"] == 3
 
+    def test_set_without_equals_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig2", "--set", "foo", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: caf")
+        assert "--set expects KEY=VALUE, got 'foo'" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFig2:
     def test_deterministic_bytes_and_svg(self, tmp_path):

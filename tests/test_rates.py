@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from caf import rates
-from caf.errors import InvalidArgumentError, ResourceLimitError
+from caf.errors import InvalidArgumentError, NumericRangeError, ResourceLimitError
 
 
 def exact_loss(h, power, a):
@@ -165,7 +166,71 @@ class TestBestCoefficientVector:
             assert [list(a) for a in top_r] == [list(a) for a in top_e]
 
 
+def reference_sum_rate(H, power, top_n=rates.DEFAULT_TOP_N):
+    """The per-combo sum-rate loop: Fraction rank check, first strict max."""
+    H = np.asarray(H, dtype=float)
+    k = H.shape[0]
+    cands = [rates.top_coefficient_vectors(H[m], power, top_n) for m in range(k)]
+    best_rate, best_A = -1.0, None
+    for combo in itertools.product(*cands):
+        A = np.stack(combo)
+        if rates._rank_exact(A) < k:
+            continue
+        r = rates.evaluate_sum_rate(H, power, A)
+        if r > best_rate:
+            best_rate, best_A = r, A
+    if best_A is None:
+        eye = np.eye(k, dtype=int)
+        return eye, rates.evaluate_sum_rate(H, power, eye), True
+    return best_A, best_rate, False
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(31)
+    cases = []
+    for k, dbs, n_ch, top_n in ((1, (10, 30, 60), 2, 16), (2, (10, 20, 40, 60), 3, 16),
+                                (3, (10, 20, 30), 1, 16)):
+        for i in range(n_ch):
+            H = rng.uniform(0.5, 2.0, size=(k, k))
+            cases += [pytest.param(H, db, top_n, id=f"K{k}-uniform{i}-{db}dB") for db in dbs]
+    # summing the three column minima in another order changes the last bit here
+    H = np.random.default_rng(4).uniform(0.5, 2.0, size=(3, 3))
+    cases.append(pytest.param(H, 10, 16, id="K3-uniform-order-10dB"))
+    # integer gains: the singular ones tie several full-rank matrices at the
+    # maximum (first one wins) and reach the identity fallback at high SNR
+    integer = (([[1, 2], [2, 1]], (10, 20, 40, 60), 16),
+               ([[2, 1], [2, 1]], (10, 20, 40, 60), 16),
+               ([[1, 1], [2, 2]], (10, 20, 40, 60), 16),
+               ([[1, 2, 1], [2, 1, 1], [1, 1, 2]], (10, 20), 8),
+               ([[1, 1, 2], [1, 1, 2], [2, 1, 1]], (10, 20), 8),
+               ([[1, 1, 1], [1, 1, 1], [1, 2, 2]], (10, 20), 8))
+    for i, (H, dbs, top_n) in enumerate(integer):
+        H = np.array(H, dtype=float)
+        cases += [pytest.param(H, db, top_n, id=f"K{len(H)}-integer{i}-{db}dB") for db in dbs]
+    return cases
+
+
 class TestLatticeSumRate:
+    @pytest.mark.parametrize("H, db, top_n", _oracle_cases())
+    def test_matches_reference_loop(self, H, db, top_n):
+        P = float(rates.db_to_linear(db))
+        ref_A, ref_rate, ref_fallback = reference_sum_rate(H, P, top_n)
+        res = rates.lattice_sum_rate(H, P, top_n=top_n)
+        assert res.fallback == ref_fallback
+        assert np.array_equal(res.coefficients, ref_A)
+        assert res.coefficients.dtype == ref_A.dtype
+        assert res.rate_bits == ref_rate  # bit-identical, not approx
+
+    @pytest.mark.parametrize("k, P, top_n, rate", [(2, 1e4, 1, 0.99992787), (3, 1e2, 2, 0.87385197)])
+    def test_identity_fallback_without_full_rank_combo(self, k, P, top_n, rate):
+        H = np.ones((k, k))
+        res = rates.lattice_sum_rate(H, P, top_n=top_n)
+        eye = np.eye(k, dtype=int)
+        assert res.fallback
+        assert np.array_equal(res.coefficients, eye)
+        assert res.rate_bits == rates.evaluate_sum_rate(H, P, eye)
+        assert res.rate_bits == pytest.approx(rate, abs=1e-8)
+
     def test_identity_channel(self):
         res = rates.lattice_sum_rate(np.eye(2), 10.0)
         assert np.array_equal(np.abs(res.coefficients), np.eye(2, dtype=int))
@@ -199,6 +264,38 @@ class TestLatticeSumRate:
     def test_k_limit(self):
         with pytest.raises(ResourceLimitError):
             rates.lattice_sum_rate(np.eye(4), 10.0)
+
+
+class TestDetInt:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_full_rank_matches_rank_exact(self, k):
+        rng = np.random.default_rng(40 + k)
+        A = rng.integers(-3, 4, size=(240, k, k))
+        A[0::6, -1] = A[0::6, 0]  # repeated row
+        A[1::6, -1] = -2 * A[1::6, 0]  # collinear rows
+        A[2::6, k // 2] = 0  # zero row
+        A[3::6, :, -1] = A[3::6, :, 0]  # repeated column
+        det = rates._det_int(A)
+        assert det.dtype == np.int64 and det.shape == (240,)
+        assert [d != 0 for d in det] == [rates._rank_exact(a) == k for a in A]
+        assert np.array_equal(det, np.rint(np.linalg.det(A.astype(float))).astype(np.int64))
+        if k > 1:
+            assert not det[0::6].any() and not det[1::6].any() and not det[3::6].any()
+        assert not det[2::6].any()
+
+    def test_exact_near_the_int64_limit(self):
+        m = 1_100_000  # 3! m^3 = 7.99e18 still fits int64
+        A = np.array([[m, m, m], [m, -m, m], [m, m, -m]])
+        assert int(rates._det_int(A)) == 4 * m**3
+
+    @pytest.mark.parametrize("A", [
+        np.full((3, 3), 1_200_000),  # 3! m^3 = 1.04e19
+        np.array([[np.iinfo(np.int64).min]]),  # |a| wraps in int64
+        np.ones((21, 21), dtype=np.int64),  # 21! > 2^63
+    ], ids=["k3-large-entries", "int64-min", "k21-ones"])
+    def test_range_guard(self, A):
+        with pytest.raises(NumericRangeError):
+            rates._det_int(A)
 
 
 class TestBaselines:
