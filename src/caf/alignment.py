@@ -93,25 +93,6 @@ class EquationSystem:
         return len(self.receivers)
 
 
-@dataclass
-class ModulationConfig:
-    k: int
-    l: int
-    p: int
-    scaling_mode: str = "tight"
-    noise_variance: float = 1.0
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InvalidArgumentError(f"{self.p} is not prime")
-        if self.l < 1:
-            raise InvalidArgumentError("L must be >= 1")
-        if self.noise_variance < 0:
-            raise InvalidArgumentError("noise variance must be >= 0")
-        if self.scaling_mode not in ("worstcase", "tight"):
-            raise InvalidArgumentError(f"unknown scaling mode {self.scaling_mode!r}")
-
-
 def monomial_card(k: int, l: int) -> int:
     """|G_L| = L^(K^2)."""
     return l ** (k * k)
@@ -303,6 +284,8 @@ def awgn_channel(x, H, rng=None, noise_variance: float = 1.0) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(H))):
         raise InvalidArgumentError("inputs must be finite")
+    if not 0.0 <= noise_variance < math.inf:
+        raise InvalidArgumentError(f"noise variance must be finite and >= 0, got {noise_variance}")
     y = np.tensordot(H, x, axes=(1, 0))
     if noise_variance > 0.0:
         if rng is None or isinstance(rng, (int, np.integer)):

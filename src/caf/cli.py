@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import alignment, diophantine, fpcode, inversion, rates
-from .errors import NonGenericChannelError
+from .errors import InvalidArgumentError, NonGenericChannelError
 from .seeding import child_rng, derive_seed
 from .svgplot import svg_line_chart
 
@@ -41,6 +41,9 @@ EXPERIMENT_KEYS = {
     "invert": {"seed", "k", "l", "p", "samples"},
     "dioph": {"seed", "q_max", "p", "l", "k"},
 }
+
+# the only keys that take comma-separated lists
+LIST_KEYS = {"snr_db", "p"}
 
 
 @dataclass
@@ -71,6 +74,13 @@ class RunConfig:
                 f"unknown config keys for {self.experiment}: {', '.join(unknown)} "
                 f"(allowed: {', '.join(sorted(allowed))})"
             )
+        listed = sorted(k for k, v in self.params.items()
+                        if isinstance(v, list) and k not in LIST_KEYS)
+        if listed:
+            raise ValueError(
+                f"config keys {', '.join(listed)} take one value, got a list "
+                f"(only {', '.join(sorted(LIST_KEYS))} take lists)"
+            )
         return self
 
 
@@ -84,6 +94,13 @@ def _coerce(token: str):
     return token
 
 
+def _parse_value(text: str):
+    """One scalar, or a list when ``text`` has commas (empty items dropped)."""
+    if "," in text:
+        return [_coerce(t) for t in text.split(",") if t.strip()]
+    return _coerce(text)
+
+
 def parse_config(path: str) -> dict:
     """Read a ``key = value`` file; comma-separated values become lists."""
     out = {}
@@ -92,14 +109,10 @@ def parse_config(path: str) -> dict:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, sep, value = line.partition("=")
+            if not (sep and key.strip() and value.strip()):
                 raise ValueError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if "," in value:
-                out[key] = [_coerce(t) for t in value.split(",") if t.strip()]
-            else:
-                out[key] = _coerce(value)
+            out[key.strip().replace("-", "_")] = _parse_value(value)
     return out
 
 
@@ -244,25 +257,14 @@ def cmd_dof(config: dict, outdir: str) -> str:
 
 def _build_signature(config: dict, H, p: int, c5: float):
     geometry = config.get("geometry", "example")
-    noise_var = float(config.get("noise_variance", 0.0))
     if geometry == "example":
-        mode = "tight" if noise_var > 0 else "unit"
-        sig = alignment.example_signature(H, p=p, mode=mode, c5_target=c5)
-    elif geometry == "canonical":
-        mode = config.get("scaling_mode", "tight")
-        if noise_var > 0:
-            # noisy runs go through the validated parameter record; the
-            # noiseless switch lives in the channel, not in the config type
-            alignment.ModulationConfig(
-                k=int(config.get("k", 2)), l=int(config.get("l", 1)), p=p,
-                scaling_mode="tight" if mode == "unit" else mode,
-                noise_variance=noise_var,
-            )
-        sig = alignment.canonical_signature(H, int(config.get("l", 1)), p,
-                                            mode=mode, c5_target=c5)
-    else:
-        raise ValueError(f"unknown geometry {geometry!r}")
-    return sig
+        mode = "tight" if float(config.get("noise_variance", 0.0)) > 0 else "unit"
+        return alignment.example_signature(H, p=p, mode=mode, c5_target=c5)
+    if geometry == "canonical":
+        return alignment.canonical_signature(H, int(config.get("l", 1)), p,
+                                             mode=config.get("scaling_mode", "tight"),
+                                             c5_target=c5)
+    raise ValueError(f"unknown geometry {geometry!r}")
 
 
 def _align_channel(config: dict, seed: int):
@@ -309,6 +311,11 @@ def cmd_align(config: dict, outdir: str) -> str:
                 code = fpcode.GeneratorMatrix.from_text(fh.read())
             if code.p != p:
                 raise ValueError(f"stored code is over F_{code.p}, run wants p={p}")
+            if fpcode.min_distance(code) == 0:
+                raise InvalidArgumentError(
+                    f"stored code {code_file} is not injective: a nonzero message "
+                    "encodes to the zero word"
+                )
         else:
             code = fpcode.gv_search(p, t_len, distance, seed=derive_seed(seed, pi, 0),
                                     message_len=message_len)
@@ -353,8 +360,6 @@ def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corru
     demod_symbols = 0
     equation_block_errors = 0
     message_mismatches = 0
-    codebook = fpcode.all_messages(p, code.message_len)
-    words = fpcode.encode(code, codebook.T)  # (T, p^msg)
     decoded_equations = []
     corrupt_rng = child_rng(seed, 2)
     for m in range(k):
@@ -375,28 +380,26 @@ def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corru
                     pos = corrupt_rng.integers(0, t_len, size=corrupt)
                     cols[pos, tr] = (cols[pos, tr] + 1 + corrupt_rng.integers(0, p - 1)) % p
         decoded_equations.append(hat_mod)
-    # outer decode per (receiver, group, trial), then invert per trial
+    # outer decode, one batched call per (receiver, group). The code is linear
+    # and injective, so a true equation's message is the sum of its
+    # contributors' messages mod p.
+    true_msgs = alignment.true_equations([np.stack(tx) for tx in messages], eqsys, sig)
     u_msgs = []
     for m in range(k):
-        per_group = []
-        for g in range(decoded_equations[m].shape[0]):
-            received = decoded_equations[m][g].reshape(t_len, trials)
-            dists = np.count_nonzero(words[:, :, None] != received[:, None, :], axis=0)
-            best = np.argmin(dists, axis=0)
-            per_group.append(codebook[best].T)  # (message_len, trials)
-        u_msgs.append(np.stack(per_group))  # (n_groups, message_len, trials)
-    truth_mod = [t % p for t in truth]
-    for m in range(k):
-        true_u = truth_mod[m].reshape(truth_mod[m].shape[0], t_len, trials)
-        true_msgs = np.stack([
-            _project_codeword(words, codebook, true_u[g]) for g in range(true_u.shape[0])
-        ])
-        bad = np.any(np.any(u_msgs[m] != true_msgs, axis=1), axis=0)
+        decoded = np.stack([fpcode.md_decode(code, eq.reshape(t_len, trials)).message
+                            for eq in decoded_equations[m]])  # (n_groups, message_len, trials)
+        bad = np.any(np.any(decoded != true_msgs[m] % p, axis=1), axis=0)
         equation_block_errors += int(np.count_nonzero(bad))
+        u_msgs.append(decoded)
     # inversion: per trial, solve all message symbols at once
     for tr in range(trials):
         u_trial = [u_msgs[m][:, :, tr] for m in range(k)]
-        result = inversion.peel_invert(eqsys, u_trial)
+        try:
+            result = inversion.peel_invert(eqsys, u_trial)
+        except InvalidArgumentError:
+            # wrong equations can make an overdetermined system inconsistent
+            message_mismatches += 1
+            continue
         ok = all(
             np.array_equal(result.values[(kk, sub.index)] % p,
                            messages[kk][i][:, tr] % p)
@@ -413,13 +416,6 @@ def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corru
         "message_mismatches": message_mismatches,
         "blocks": trials * k,
     }
-
-
-def _project_codeword(words, codebook, received):
-    """Minimum-distance decode of each column of ``received`` (T, trials)."""
-    dists = np.count_nonzero(words[:, :, None] != received[:, None, :], axis=0)
-    best = np.argmin(dists, axis=0)
-    return codebook[best].T  # (message_len, trials)
 
 
 # --------------------------------------------------------------- invert
@@ -536,11 +532,9 @@ def main(argv=None) -> int:
     config = parse_config(args.config) if args.config else {}
     for item in args.set:
         key, sep, value = item.partition("=")
-        if not sep:
+        if not (sep and key.strip() and value.strip()):
             parser.error(f"--set expects KEY=VALUE, got {item!r}")
-        key = key.strip().replace("-", "_")
-        config[key] = ([_coerce(t) for t in value.split(",")] if "," in value
-                       else _coerce(value))
+        config[key.strip().replace("-", "_")] = _parse_value(value)
     for key in ("seed", "snr_db", "k", "l", "p", "trials"):
         value = getattr(args, key)
         if value is not None:

@@ -1,4 +1,4 @@
-"""Prime-field arithmetic and the shared linear outer code.
+"""The shared linear outer code over a prime field F_p.
 
 Every transmitter encodes every submessage with one common generator matrix
 S over F_p, so integer sums performed by the channel commute with encoding:
@@ -31,39 +31,6 @@ def is_prime(n: int) -> bool:
             return False
         i += 1
     return True
-
-
-class PrimeField:
-    """Arithmetic mod a prime p; works on ints and integer arrays."""
-
-    def __init__(self, p: int):
-        if not is_prime(int(p)):
-            raise InvalidArgumentError(f"{p} is not prime")
-        self.p = int(p)
-
-    def add(self, a, b):
-        return (np.asarray(a) + np.asarray(b)) % self.p
-
-    def sub(self, a, b):
-        return (np.asarray(a) - np.asarray(b)) % self.p
-
-    def mul(self, a, b):
-        return (np.asarray(a) * np.asarray(b)) % self.p
-
-    def inv(self, a: int) -> int:
-        a = int(a) % self.p
-        if a == 0:
-            raise InvalidArgumentError("zero has no inverse")
-        # extended Euclid
-        r0, r1 = self.p, a
-        s0, s1 = 0, 1
-        while r1:
-            q, (r0, r1) = r0 // r1, (r1, r0 - (r0 // r1) * r1)
-            s0, s1 = s1, s0 - q * s1
-        return s0 % self.p
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
 
 
 @dataclass
@@ -193,20 +160,25 @@ def gv_search(
 
 @dataclass
 class DecodeResult:
-    message: np.ndarray
-    corrections: int
-    ambiguous: bool
+    message: np.ndarray  # (message_len,) or, for a batch, (message_len, n)
+    corrections: int | np.ndarray  # Hamming distance to the decoded codeword
+    ambiguous: bool | np.ndarray  # another message is just as close
 
 
 def md_decode(S: GeneratorMatrix, received, budget: int = DECODE_BUDGET) -> DecodeResult:
-    """Exhaustive minimum-Hamming-distance decoding.
+    """Exhaustive minimum-Hamming-distance decoding of a word or a batch.
 
-    Guaranteed correct for error weight <= floor((d-1)/2). Ties are
-    reported ambiguous and resolved to the lexicographically smallest
-    message.
+    ``received`` is one (T,) word or a (T, n) batch of words in columns;
+    a batch returns ``message`` as (message_len, n) and ``corrections`` and
+    ``ambiguous`` as (n,) arrays, column by column equal to decoding each
+    word alone. Guaranteed correct for error weight <= floor((d-1)/2).
+    Ties are reported ambiguous and resolved to the lexicographically
+    smallest message (first symbol most significant). Distances are
+    counted one code symbol at a time into a (p^message_len, n) array of
+    the narrowest unsigned type that holds T.
     """
     received = np.asarray(received, dtype=np.int64)
-    if received.shape != (S.t,):
+    if received.ndim not in (1, 2) or received.shape[0] != S.t:
         raise InvalidArgumentError("received word has wrong length")
     count = S.p**S.message_len
     if count > budget:
@@ -214,8 +186,14 @@ def md_decode(S: GeneratorMatrix, received, budget: int = DECODE_BUDGET) -> Deco
             f"decode enumeration of {count} messages exceeds budget {budget}"
         )
     msgs = all_messages(S.p, S.message_len)
-    words = encode(S, msgs.T)
-    dists = np.count_nonzero(words != received[:, None], axis=0)
-    best = int(np.argmin(dists))  # first occurrence = lexicographically smallest
-    ambiguous = int(np.count_nonzero(dists == dists[best])) > 1
-    return DecodeResult(msgs[best].copy(), int(dists[best]), ambiguous)
+    words = encode(S, msgs.T)  # (T, count)
+    batch = received.reshape(S.t, -1)
+    dists = np.zeros((count, batch.shape[1]), dtype=np.min_scalar_type(S.t))
+    for word_row, received_row in zip(words, batch):
+        dists += word_row[:, None] != received_row[None, :]
+    best = np.argmin(dists, axis=0)  # first minimum = lexicographically smallest
+    ambiguous = count - 1 - np.argmin(dists[::-1], axis=0) != best  # last minimum differs
+    corrections = dists[best, np.arange(batch.shape[1])].astype(np.int64)
+    if received.ndim == 1:
+        return DecodeResult(msgs[best[0]].copy(), int(corrections[0]), bool(ambiguous[0]))
+    return DecodeResult(msgs[best].T, corrections, ambiguous)

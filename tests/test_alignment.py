@@ -37,6 +37,16 @@ class TestCanonicalSignature:
         with pytest.raises(NonGenericChannelError):
             al.canonical_signature(np.ones((2, 2)), 1, 3)
 
+    def test_rejects_composite_p(self):
+        with pytest.raises(InvalidArgumentError, match="6 is not prime"):
+            al.canonical_signature(H_GENERIC, 1, 6, mode="tight")
+
+    def test_rejects_bad_mode_and_l(self):
+        with pytest.raises(InvalidArgumentError, match="degree bound L"):
+            al.canonical_signature(H_GENERIC, 0, 5, mode="tight")
+        with pytest.raises(InvalidArgumentError, match="unknown scaling mode 'loose'"):
+            al.canonical_signature(H_GENERIC, 1, 5, mode="loose")
+
 
 class TestExampleSignature:
     def test_receiver_group_structure(self):
@@ -137,6 +147,12 @@ class TestChannel:
         y = al.awgn_channel(x, H_EXAMPLE, rng=7, noise_variance=1.0)
         var = y.var(axis=1)
         assert np.all(np.abs(var - 1.0) < 0.02)
+
+    def test_rejects_negative_or_non_finite_noise_variance(self):
+        x = np.array([1.0, 2.0])
+        for bad in (-1.0, -1e-300, math.inf, math.nan):
+            with pytest.raises(InvalidArgumentError, match="noise variance"):
+                al.awgn_channel(x, H_EXAMPLE, rng=0, noise_variance=bad)
 
 
 class TestTrueEquations:
@@ -383,22 +399,6 @@ class TestAchievableRate:
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
         assert all(r < limit for r in ratios)
         assert ratios[-1] > 0.9 * limit
-
-
-class TestModulationConfig:
-    def test_valid(self):
-        mc = al.ModulationConfig(k=2, l=1, p=5)
-        assert mc.scaling_mode == "tight"
-
-    def test_rejects_composite_p(self):
-        with pytest.raises(InvalidArgumentError):
-            al.ModulationConfig(k=2, l=1, p=6)
-
-    def test_rejects_bad_mode_and_l(self):
-        with pytest.raises(InvalidArgumentError):
-            al.ModulationConfig(k=2, l=0, p=5)
-        with pytest.raises(InvalidArgumentError):
-            al.ModulationConfig(k=2, l=1, p=5, scaling_mode="loose")
 
 
 class TestDemodFuzz:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from caf import cli
+from caf.errors import InvalidArgumentError
 
 
 def run(tmp_path, *argv):
@@ -40,6 +41,30 @@ class TestConfig:
         assert err.startswith("usage: caf")
         assert "--set expects KEY=VALUE, got 'foo'" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("item", ["=5", "h2_points=", "h2_points= ", " =3"])
+    def test_set_with_empty_key_or_value_is_a_usage_error(self, tmp_path, capsys, item):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig2", "--set", item, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"--set expects KEY=VALUE, got {item!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["h2_points =", "= 5", "h2_points"])
+    def test_config_line_without_key_or_value_is_rejected(self, tmp_path, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        with pytest.raises(ValueError, match="bad config line"):
+            cli.parse_config(str(cfg))
+
+    def test_list_for_a_single_valued_key_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="config keys seed take one value"):
+            cli.main(["fig2", "--set", "seed=1,2", "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("h2_points = 3, 4\n")
+        with pytest.raises(ValueError, match="config keys h2_points take one value"):
+            cli.main(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
 
 class TestFig2:
@@ -107,6 +132,29 @@ class TestAlign:
         n = int(rec["demod_symbols"])
         bound = math.exp(-0.5 * 3)  # exp(-c5^2 p / 2)
         assert rate <= bound + 3 * math.sqrt(bound * (1 - bound) / n)
+
+    def test_inconsistent_example_system_counts_as_mismatch(self, tmp_path):
+        # three flips per block beat the distance-3 code; the wrong equations
+        # make the overdetermined example system inconsistent for some trials
+        out = run(tmp_path, "align", "--p", "5", "--trials", "100",
+                  "--set", "noise_variance=0", "--set", "demod_strategy=oracle",
+                  "--set", "inject_corruptions=3", "--set", "t_len=7",
+                  "--set", "message_len=2")
+        header, row = [l.split(",") for l in (out / "align.csv").read_text().splitlines()]
+        rec = dict(zip(header, row))
+        assert 0 < int(rec["message_mismatches"]) <= int(rec["trials"])
+        assert int(rec["equation_block_errors"]) > 0
+
+    def test_non_prime_p_rejected(self, tmp_path):
+        for geometry in ("example", "canonical"):
+            with pytest.raises(InvalidArgumentError, match="6 is not prime"):
+                cli.main(["align", "--p", "6", "--trials", "5", "--set", f"geometry={geometry}",
+                          "--out", str(tmp_path / geometry)])
+
+    def test_negative_noise_variance_rejected(self, tmp_path):
+        with pytest.raises(InvalidArgumentError, match="noise variance"):
+            cli.main(["align", "--p", "5", "--trials", "5", "--set", "noise_variance=-1",
+                      "--out", str(tmp_path / "o")])
 
     def test_determinism(self, tmp_path):
         args = ["align", "--p", "5", "--trials", "50", "--set", "noise_variance=1",
@@ -180,4 +228,13 @@ class TestCodeFile:
             cli.main(["align", "--p", "3", "--trials", "10",
                       "--set", "noise_variance=0",
                       "--set", f"code_file={out1 / 'code_p5.txt'}",
+                      "--out", str(tmp_path / "c")])
+
+    def test_non_injective_code_rejected(self, tmp_path):
+        code = tmp_path / "code.txt"
+        # second column is zero: message (0, 1) encodes to the zero word
+        code.write_text("5 4 2\n1 0\n2 0\n3 0\n4 0\n")
+        with pytest.raises(InvalidArgumentError, match="stored code .* not injective"):
+            cli.main(["align", "--p", "5", "--trials", "10",
+                      "--set", "noise_variance=0", "--set", f"code_file={code}",
                       "--out", str(tmp_path / "c")])

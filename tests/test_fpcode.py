@@ -24,26 +24,9 @@ HAMMING74 = fpcode.GeneratorMatrix(
 
 
 class TestFieldOps:
-    def test_add(self):
-        f = fpcode.PrimeField(5)
-        assert f.add(3, 4) == 2
-
-    def test_inverse(self):
-        f = fpcode.PrimeField(5)
-        assert f.inv(2) == 3
-
-    def test_inverse_sweep(self):
-        f = fpcode.PrimeField(7)
-        for a in range(1, 7):
-            assert f.mul(a, f.inv(a)) == 1
-
-    def test_inverse_of_zero(self):
-        with pytest.raises(InvalidArgumentError):
-            fpcode.PrimeField(5).inv(0)
-
     def test_requires_prime(self):
-        with pytest.raises(InvalidArgumentError):
-            fpcode.PrimeField(6)
+        with pytest.raises(InvalidArgumentError, match="6 is not prime"):
+            fpcode.gv_search(6, 8, 3)
 
     def test_is_prime(self):
         primes = [n for n in range(2, 60) if fpcode.is_prime(n)]
@@ -207,6 +190,62 @@ class TestMdDecode:
         S = fpcode.GeneratorMatrix(5, np.zeros((30, 10), dtype=int))
         with pytest.raises(ResourceLimitError):
             fpcode.md_decode(S, np.zeros(30, dtype=int), budget=100)
+        with pytest.raises(ResourceLimitError):
+            fpcode.md_decode(S, np.zeros((30, 4), dtype=int), budget=100)
+
+    def test_wrong_length(self):
+        for bad in (np.zeros(6, dtype=int), np.zeros((6, 3), dtype=int),
+                    np.zeros((7, 3, 1), dtype=int), np.int64(0)):
+            with pytest.raises(InvalidArgumentError, match="wrong length"):
+                fpcode.md_decode(HAMMING74, bad)
+
+    def test_batch_equals_single_words_with_ties(self):
+        rng = np.random.default_rng(11)
+        codes = [
+            HAMMING74,  # perfect: every word is within distance 1 of one codeword
+            fpcode.GeneratorMatrix(2, np.ones((4, 1), dtype=int)),  # even T: 2-2 ties
+            fpcode.GeneratorMatrix(3, rng.integers(0, 3, size=(5, 3))),
+            fpcode.GeneratorMatrix(5, np.array([[1, 0], [0, 1], [1, 1], [1, 2]])),
+        ]
+        for S in codes:
+            batch = rng.integers(0, S.p, size=(S.t, 64))
+            batch[:, 0] = 0
+            batch[:, 1] = fpcode.encode(S, np.full(S.message_len, S.p - 1))
+            res = fpcode.md_decode(S, batch)
+            assert res.message.shape == (S.message_len, 64)
+            assert res.corrections.shape == res.ambiguous.shape == (64,)
+            for j in range(64):
+                one = fpcode.md_decode(S, batch[:, j])
+                assert np.array_equal(res.message[:, j], one.message)
+                assert res.corrections[j] == one.corrections
+                assert res.ambiguous[j] == one.ambiguous
+            if S is HAMMING74:
+                assert not res.ambiguous.any()
+            else:
+                assert res.ambiguous.any() and not res.ambiguous.all(), S.entries
+        # one column is a batch of one
+        one = fpcode.md_decode(HAMMING74, np.ones((7, 1), dtype=int))
+        assert one.message.tolist() == [[1], [1], [1], [1]]
+        assert one.corrections.tolist() == [0]
+
+    def test_tie_goes_to_lexicographically_smallest_message(self):
+        S = fpcode.GeneratorMatrix(2, np.ones((4, 1), dtype=int))  # codewords 0000, 1111
+        res = fpcode.md_decode(S, np.array([[1, 0, 1], [1, 0, 1], [0, 0, 1], [0, 0, 1]]))
+        assert res.message.tolist() == [[0, 0, 1]]
+        assert res.corrections.tolist() == [2, 0, 0]
+        assert res.ambiguous.tolist() == [True, False, False]
+        single = fpcode.md_decode(S, np.array([0, 1, 1, 0]))
+        assert single.message.tolist() == [0]
+        assert single.corrections == 2 and single.ambiguous is True
+
+
+    def test_long_block_distances_do_not_wrap(self):
+        S = fpcode.GeneratorMatrix(2, np.ones((300, 1), dtype=int))  # repetition, T = 300
+        word = np.zeros(300, dtype=int)
+        word[:260] = 1  # 260 from the zero word: would read 4 in a uint8 count
+        res = fpcode.md_decode(S, word)
+        assert res.message.tolist() == [1]
+        assert res.corrections == 40
 
 
 class TestSerialization:
