@@ -430,8 +430,10 @@ def select_parameters(
 
     L defaults to round(log2(P)^(1/(1+K^2))) clamped to >= 1; p is the
     largest prime with power_bound(K, L, p) <= P. The Bertrand bracket
-    P(L, p) <= P <= P(L, 2p) is asserted on the result. Comparisons run
-    in the log2 domain so astronomically large budgets are fine.
+    P(L, p) <= P <= P(L, 2p) is checked on the result (it holds because
+    power_bound grows with p); a failure raises ``InfeasiblePowerError``.
+    Comparisons run in the log2 domain so astronomically large budgets are
+    fine.
     """
     log2_p_target = float(target_power) if log2_target else math.log2(target_power)
     if L is None:
@@ -440,8 +442,7 @@ def select_parameters(
         raise InfeasiblePowerError(
             f"no prime fits: power_bound(K={k}, L={L}, p=2) already exceeds the target"
         )
-    best = None
-    p = 2
+    best = p = 2
     while power_bound(k, L, p, H, log2=True) <= log2_p_target:
         best = p
         # next prime
@@ -449,9 +450,13 @@ def select_parameters(
         while not is_prime(q):
             q += 1
         p = q
-    assert best is not None
-    assert power_bound(k, L, best, H, log2=True) <= log2_p_target
-    assert log2_p_target <= power_bound(k, L, 2 * best, H, log2=True)
+    low = power_bound(k, L, best, H, log2=True)
+    high = power_bound(k, L, 2 * best, H, log2=True)
+    if not low <= log2_p_target <= high:
+        raise InfeasiblePowerError(
+            f"Bertrand bracket fails at p={best}: log2 P(L, p) = {low:.6g}, "
+            f"log2 P = {log2_p_target:.6g}, log2 P(L, 2p) = {high:.6g}"
+        )
     return L, best
 
 

@@ -51,7 +51,11 @@ class MonomialSet:
 
 
 def evaluate_monomial(gains_flat: np.ndarray, exponents) -> float:
-    """Evaluate prod gains^exponents by squaring in extended precision."""
+    """Evaluate prod gains^exponents by squaring in extended precision.
+
+    The scalar reference for ``build_monomial_set``, which applies the same
+    multiplications to every monomial at once.
+    """
     acc = np.longdouble(1.0)
     for g, e in zip(gains_flat, exponents):
         e = int(e)
@@ -68,7 +72,13 @@ def evaluate_monomial(gains_flat: np.ndarray, exponents) -> float:
 
 
 def build_monomial_set(H, L: int) -> MonomialSet:
-    """All L^(K^2) monomials of the channel gains, sorted by value."""
+    """All L^(K^2) monomials of the channel gains, sorted by (value, exponents).
+
+    Monomial ``code`` has exponent ``(code // L^j) % L`` on gain j. All of
+    them are evaluated at once with the square-and-multiply order of
+    ``evaluate_monomial`` (gain by gain, low bit first), so every value is
+    bit-identical to the scalar evaluation.
+    """
     H = np.asarray(H, dtype=float)
     if L < 1:
         raise InvalidArgumentError("degree bound L must be >= 1")
@@ -77,16 +87,23 @@ def build_monomial_set(H, L: int) -> MonomialSet:
     k = H.shape[0]
     gains = H.reshape(-1)
     n = k * k
-    monomials = []
-    for code in range(L**n):
-        exps = []
-        c = code
-        for _ in range(n):
-            exps.append(c % L)
-            c //= L
-        exps = tuple(exps)
-        monomials.append(Monomial(exps, evaluate_monomial(gains, exps)))
-    monomials.sort(key=lambda m: (m.value, m.exponents))
+    exps = np.arange(L**n, dtype=np.int64)[:, None] // L ** np.arange(n, dtype=np.int64) % L
+    acc = np.ones(len(exps), dtype=np.longdouble)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for j in range(n):
+            base = np.longdouble(gains[j])
+            for bit in range((L - 1).bit_length()):
+                odd = (exps[:, j] >> bit) & 1 == 1
+                acc[odd] *= base
+                base = base * base
+        values = acc.astype(float)
+    bad = ~np.isfinite(values) | ((values == 0.0) & (acc != 0))
+    if np.any(bad):
+        first = tuple(int(e) for e in exps[np.argmax(bad)])
+        raise NumericRangeError(f"monomial value overflow/underflow at exponents {first}")
+    order = np.lexsort((*exps.T[::-1], values))
+    monomials = [Monomial(tuple(e), v)
+                 for e, v in zip(exps[order].tolist(), values[order].tolist())]
     return MonomialSet(monomials, L, k)
 
 

@@ -377,7 +377,7 @@ def _inversion_batch(k: int, l: int, p: int, count: int, stream: int):
         except NonGenericChannelError:
             continue
         eqsys = al.derive_equation_system(sig, H)
-        report = inv.injectivity_check(H, l, p)
+        report = inv.injectivity_check(eqsys)
         if not report.injective:
             return False, f"rank {report.rank} != {report.expected_rank} at instance {tried}"
         w = [rng.integers(0, p, size=(len(tx),)) for tx in sig.transmitters]

@@ -376,6 +376,18 @@ class TestParameterSelection:
         with pytest.raises(InfeasiblePowerError):
             al.select_parameters(100.0, 2, L=1)
 
+    def test_bracket_failure_is_a_typed_error(self, monkeypatch):
+        real = al.power_bound
+        target = real(2, 1, 5, log2=True)
+
+        def dips_at_ten(k, l, p, H=None, log2=False):
+            # non-monotone in p: P(L, 10) falls below P(L, 7)
+            return target - 1.0 if p == 10 else real(k, l, p, H, log2)
+
+        monkeypatch.setattr(al, "power_bound", dips_at_ten)
+        with pytest.raises(InfeasiblePowerError, match="Bertrand bracket fails at p=5"):
+            al.select_parameters(target, 2, L=1, log2_target=True)
+
 
 class TestAchievableRate:
     def test_zero_epsilon(self):

@@ -175,6 +175,17 @@ class TestInvert:
         assert int(rec["injective_pass"]) == total
         assert int(rec["peel_equals_solve"]) == total
 
+    def test_second_prime_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"invert takes one prime p, got p=\[3, 5\]"):
+            cli.main(["invert", "--k", "2", "--l", "1", "--p", "3", "5",
+                      "--set", "samples=1", "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o" / "invert.csv").exists()
+
+    def test_negative_samples_rejected(self, tmp_path):
+        with pytest.raises(InvalidArgumentError, match="samples must be >= 0, got -4"):
+            cli.main(["invert", "--set", "samples=-4", "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o" / "invert.csv").exists()
+
 
 class TestDioph:
     def test_rows_and_flags(self, tmp_path):

@@ -49,6 +49,56 @@ class TestMonomialSet:
             dio.build_monomial_set(np.eye(2), 0)
 
 
+def loop_monomial_set(H, L):
+    """Reference: one ``evaluate_monomial`` call per monomial, then a key sort."""
+    gains = np.asarray(H, dtype=float).reshape(-1)
+    n = gains.size
+    monomials = []
+    for code in range(L**n):
+        exps = []
+        c = code
+        for _ in range(n):
+            exps.append(c % L)
+            c //= L
+        exps = tuple(exps)
+        monomials.append(dio.Monomial(exps, dio.evaluate_monomial(gains, exps)))
+    monomials.sort(key=lambda m: (m.value, m.exponents))
+    return monomials
+
+
+class TestMonomialSetAgainstLoop:
+    @pytest.mark.parametrize("k, L", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
+    def test_bit_identical_exponents_values_and_order(self, k, L):
+        rng = np.random.default_rng(100 + 10 * k + L)
+        for H in (rng.uniform(0.5, 2.0, size=(k, k)), rng.uniform(-2.0, 2.0, size=(k, k))):
+            got = dio.build_monomial_set(H, L).monomials
+            want = loop_monomial_set(H, L)
+            assert [m.exponents for m in got] == [m.exponents for m in want]
+            got_bits = np.array([m.value for m in got]).view(np.uint64)
+            want_bits = np.array([m.value for m in want]).view(np.uint64)
+            assert np.array_equal(got_bits, want_bits)
+            assert all(type(e) is int for m in got[:5] for e in m.exponents)
+
+    def test_ties_break_on_exponents(self):
+        # every monomial of an all-ones channel is 1.0: the order is the exponent order
+        got = dio.build_monomial_set(np.ones((2, 2)), 3).monomials
+        assert got == loop_monomial_set(np.ones((2, 2)), 3)
+        assert [m.exponents for m in got] == sorted(m.exponents for m in got)
+
+    @pytest.mark.parametrize("H", [
+        np.full((2, 2), 1e300),
+        np.full((2, 2), 1e-300),
+        np.array([[1.5, 0.5], [2.0, 1e300]]),
+        np.array([[1e-200, 1.0], [1.0, 1e200]]),
+    ])
+    def test_range_error_names_the_first_monomial_in_generation_order(self, H):
+        with pytest.raises(NumericRangeError) as want:
+            loop_monomial_set(H, 3)
+        with pytest.raises(NumericRangeError) as got:
+            dio.build_monomial_set(H, 3)
+        assert str(got.value) == str(want.value)
+
+
 class TestUniqueFactorization:
     def test_duplicate_gain_collides(self):
         H = np.array([[1.4, 1.4], [0.7, 1.9]])
