@@ -38,6 +38,7 @@ from .errors import (
 from .fpcode import is_prime, p_ary_entropy
 
 DEMOD_BUDGET = 1 << 18
+DEMOD_CHUNK_CELLS = 1 << 16  # cells per ml_demodulate temporary
 
 
 @dataclass(frozen=True)
@@ -236,8 +237,10 @@ def tight_scaling_factor(eqsys: EquationSystem, c5_target: float = 1.0) -> float
 
     The separation oracle runs per receiver over that receiver's receive
     monomials with coefficient ranges matching the true equation ranges
-    [0, c_g (p-1)].
+    [0, c_g (p-1)]. c5_target must be finite and positive.
     """
+    if not (math.isfinite(c5_target) and c5_target > 0):
+        raise InvalidArgumentError(f"c5 must be finite and > 0, got {c5_target}")
     p = eqsys.p
     sep = math.inf
     for groups in eqsys.receivers:
@@ -325,65 +328,85 @@ def ml_demodulate(
     Group g ranges over [0, c_g (p-1)] with c_g the contributor count.
     Ties go to the lexicographically smallest tuple. Strategies:
     ``exhaustive`` (full enumeration), ``mitm`` (half-split with sorted
-    probing; same floats, identical output), ``oracle`` (returns the
-    injected true equations, for pipeline tests that bypass demodulation).
+    probing over the same floats; identical output unless rounding moves
+    the nearest point out of the probe window, which takes signal values
+    near 2^52), ``oracle`` (returns the injected true equations, for
+    pipeline tests that bypass demodulation).
+
+    Both searches run over chunks of symbols, so every temporary holds at
+    most ``DEMOD_CHUNK_CELLS`` cells, or one symbol's row when a row is
+    wider: (chunk, candidates) distances for ``exhaustive``, (5, chunk,
+    left half) probes for ``mitm``. Memory is therefore bounded by the
+    chunk, the candidate tables and the (groups, symbols) output, not by
+    symbols x candidates. ``budget`` caps the candidate count (exhaustive)
+    or the larger half (mitm). Non-finite ``y_m`` or ``scaling`` raises
+    ``InvalidArgumentError``.
     """
     y = np.atleast_1d(np.asarray(y_m, dtype=float))
     if strategy == "oracle":
         if oracle_values is None:
             raise InvalidArgumentError("oracle strategy needs oracle_values")
         return np.asarray(oracle_values, dtype=np.int64)
+    if strategy not in ("exhaustive", "mitm"):
+        raise InvalidArgumentError(f"unknown demod strategy {strategy!r}")
+    if not (np.all(np.isfinite(y)) and math.isfinite(scaling)):
+        raise InvalidArgumentError("demodulation inputs y_m and scaling must be finite")
     limits = [len(g.contributors) * (p - 1) for g in groups]
     values = np.array([g.value for g in groups])
     nl = len(limits) // 2
-    count = 1
-    for l in limits:
-        count *= l + 1
-    if strategy == "exhaustive":
-        if count > budget:
-            raise ResourceLimitError(
-                f"{count} demod candidates exceed budget {budget}; use "
-                "strategy='mitm' or oracle injection"
-            )
-        left = _candidate_tuples(limits[:nl]) if nl else np.zeros((1, 0), dtype=np.int64)
-        right = _candidate_tuples(limits[nl:])
-        wl = scaling * (left @ values[:nl]) if nl else np.zeros(1)
-        wr = scaling * (right @ values[nl:])
-        signal = (wl[:, None] + wr[None, :]).reshape(-1)
-        dist = np.abs(y[:, None] - signal[None, :])
-        best = np.argmin(dist, axis=1)  # first min = lexicographic tie-break
-        idx_l, idx_r = np.divmod(best, len(wr))
-        out = np.concatenate([left[idx_l], right[idx_r]], axis=1).T
-        return out[:, 0] if np.isscalar(y_m) or np.ndim(y_m) == 0 else out
-    if strategy != "mitm":
-        raise InvalidArgumentError(f"unknown demod strategy {strategy!r}")
+    n_left = math.prod(l + 1 for l in limits[:nl])
+    n_right = math.prod(l + 1 for l in limits[nl:])
+    if strategy == "exhaustive" and n_left * n_right > budget:
+        raise ResourceLimitError(
+            f"{n_left * n_right} demod candidates exceed budget {budget}; use "
+            "strategy='mitm' or oracle injection"
+        )
+    if strategy == "mitm" and max(n_left, n_right) > budget:
+        raise ResourceLimitError(
+            f"mitm demod half of {max(n_left, n_right)} exceeds budget {budget}"
+        )
     left = _candidate_tuples(limits[:nl]) if nl else np.zeros((1, 0), dtype=np.int64)
     right = _candidate_tuples(limits[nl:])
-    if max(len(left), len(right)) > budget:
-        raise ResourceLimitError(
-            f"mitm demod half of {max(len(left), len(right))} exceeds budget {budget}"
-        )
     wl = scaling * (left @ values[:nl]) if nl else np.zeros(1)
     wr = scaling * (right @ values[nl:])
-    order = np.argsort(wr, kind="stable")
-    swr = wr[order]
-    out = np.empty((len(limits), y.size), dtype=np.int64)
-    for t, yt in enumerate(y):
-        best = (math.inf, math.inf, math.inf)  # (dist, left idx, right idx)
-        for i in range(len(wl)):
-            target = yt - wl[i]
-            j = int(np.searchsorted(swr, target))
-            for jj in range(max(0, j - 2), min(len(swr), j + 3)):
-                # walk to the first of an equal-value run for the lex tie-break
-                first = jj
-                while first > 0 and swr[first - 1] == swr[jj]:
-                    first -= 1
-                for pos in (first, jj):
-                    d = abs(yt - (wl[i] + swr[pos]))
-                    cand = (d, i, int(order[pos]))
-                    if cand < best:
-                        best = cand
-        out[:, t] = np.concatenate([left[best[1]], right[best[2]]])
+    if strategy == "exhaustive":
+        signal = (wl[:, None] + wr[None, :]).reshape(-1)
+        width = signal.size
+
+        def nearest(yc):
+            # first min = lexicographic tie-break; exact row by row
+            best = np.argmin(np.abs(yc[:, None] - signal[None, :]), axis=1)
+            return np.divmod(best, len(wr))
+    else:
+        order = np.argsort(wr, kind="stable")
+        swr = wr[order]
+        # right index of the first position of each equal-value run of swr:
+        # the stable sort makes it the smallest index of the run, and every
+        # position of the run has the same value, hence the same distance
+        run_start = np.r_[True, swr[1:] != swr[:-1]]
+        first = np.maximum.accumulate(np.where(run_start, np.arange(len(swr)), 0))
+        run_index = order[first]
+        window = np.arange(-2, 3)[:, None, None]
+        width = len(wl) * len(window)
+
+        def nearest(yc):
+            j = np.searchsorted(swr, yc[:, None] - wl)
+            # probe j-2 .. j+2 as (window, symbol, left index); clipping
+            # lands on positions the window already holds
+            pos = np.clip(j + window, 0, len(swr) - 1)
+            d = np.abs(yc[:, None] - (wl + swr[pos]))
+            # lexicographic on (distance, left index, right index)
+            d_min = d.min(axis=0)
+            r_min = np.where(d == d_min, run_index[pos], len(swr)).min(axis=0)
+            best_l = np.argmin(d_min, axis=1)
+            return best_l, r_min[np.arange(len(yc)), best_l]
+
+    idx_l = np.empty(y.size, dtype=np.int64)
+    idx_r = np.empty(y.size, dtype=np.int64)
+    step = max(1, DEMOD_CHUNK_CELLS // width)
+    for s in range(0, y.size, step):
+        idx_l[s:s + step], idx_r[s:s + step] = nearest(y[s:s + step])
+    out = np.concatenate([left[idx_l], right[idx_r]], axis=1).T
     return out[:, 0] if np.ndim(y_m) == 0 else out
 
 

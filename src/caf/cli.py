@@ -289,6 +289,8 @@ def cmd_align(config: dict, outdir: str) -> str:
     p_list = [int(p) for p in _as_list(config.get("p", [5]))]
     t_len = int(config.get("t_len", 15))
     trials = int(config.get("trials", 1000))
+    if trials < 1:
+        raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     noise_var = float(config.get("noise_variance", 0.0))
     c5 = float(config.get("c5", 1.0))
     strategy = config.get("demod_strategy", "exhaustive")
@@ -331,7 +333,7 @@ def cmd_align(config: dict, outdir: str) -> str:
         rows.append([SCHEMA_VERSION, seed, derive_seed(seed, pi, 1),
                      config.get("geometry", "example"), sig.k,
                      l_eff, p, t_len, trials, noise_var, c5, strategy,
-                     math.log2(sig.scaling) if sig.scaling > 0 else 0.0,
+                     math.log2(sig.scaling),
                      stats["power_mean"], stats["demod_symbol_errors"],
                      stats["demod_symbols"], stats["equation_block_errors"],
                      stats["message_mismatches"], stats["blocks"], rate0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,11 @@ class TestTightScaling:
                 sep = min(sep, dio.monomial_separation(vals, ranges, integer_shift=False))
             assert sig.scaling * sep / 2 == pytest.approx(1.2 * math.sqrt(p), rel=1e-12)
 
+    @pytest.mark.parametrize("c5", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_c5_rejected(self, c5):
+        with pytest.raises(InvalidArgumentError, match="c5 must be finite and > 0"):
+            al.canonical_signature(H_GENERIC, 1, 3, mode="tight", c5_target=c5)
+
 
 class TestParameterSelection:
     def test_returned_p_is_prime(self):
@@ -432,3 +438,169 @@ class TestDemodFuzz:
             ex = al.ml_demodulate(y, groups, p, 1.0, strategy="exhaustive")
             mm = al.ml_demodulate(y, groups, p, 1.0, strategy="mitm")
             assert np.array_equal(ex, mm), (trial, values, p)
+
+
+def loop_mitm(y_m, groups, p, scaling):
+    """The original per-symbol, per-left-index MITM loop, kept as the oracle."""
+    y = np.atleast_1d(np.asarray(y_m, dtype=float))
+    limits = [len(g.contributors) * (p - 1) for g in groups]
+    values = np.array([g.value for g in groups])
+    nl = len(limits) // 2
+    left = al._candidate_tuples(limits[:nl]) if nl else np.zeros((1, 0), dtype=np.int64)
+    right = al._candidate_tuples(limits[nl:])
+    wl = scaling * (left @ values[:nl]) if nl else np.zeros(1)
+    wr = scaling * (right @ values[nl:])
+    order = np.argsort(wr, kind="stable")
+    swr = wr[order]
+    out = np.empty((len(limits), y.size), dtype=np.int64)
+    for t, yt in enumerate(y):
+        best = (math.inf, math.inf, math.inf)  # (dist, left idx, right idx)
+        for i in range(len(wl)):
+            target = yt - wl[i]
+            j = int(np.searchsorted(swr, target))
+            for jj in range(max(0, j - 2), min(len(swr), j + 3)):
+                # walk to the first of an equal-value run for the lex tie-break
+                first = jj
+                while first > 0 and swr[first - 1] == swr[jj]:
+                    first -= 1
+                for pos in (first, jj):
+                    d = abs(yt - (wl[i] + swr[pos]))
+                    cand = (d, i, int(order[pos]))
+                    if cand < best:
+                        best = cand
+        out[:, t] = np.concatenate([left[best[1]], right[best[2]]])
+    return out[:, 0] if np.ndim(y_m) == 0 else out
+
+
+def _groups(values, contributors):
+    return [
+        al.EquationGroup((i,), float(v), [(0, i)] * c)
+        for i, (v, c) in enumerate(zip(values, contributors))
+    ]
+
+
+def _signal_points_and_midpoints(groups, p, scaling):
+    limits = [len(g.contributors) * (p - 1) for g in groups]
+    values = np.array([g.value for g in groups])
+    points = np.unique(scaling * (al._candidate_tuples(limits) @ values))
+    return np.concatenate([points, (points[1:] + points[:-1]) / 2])
+
+
+def assert_all_demods_agree(y, groups, p, scaling):
+    ref = loop_mitm(y, groups, p, scaling)
+    mm = al.ml_demodulate(y, groups, p, scaling, strategy="mitm")
+    ex = al.ml_demodulate(y, groups, p, scaling, strategy="exhaustive")
+    assert mm.dtype == ex.dtype == np.int64
+    assert mm.shape == ex.shape == ref.shape
+    assert np.array_equal(mm, ref)
+    assert np.array_equal(ex, ref)
+
+
+class TestDemodAgainstLoop:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_canonical_l1_tight_noisy(self, p):
+        rng = np.random.default_rng(100 + p)
+        H = rng.uniform(0.5, 2.0, size=(2, 2))
+        sig = al.canonical_signature(H, 1, p, mode="tight")
+        eq = al.derive_equation_system(sig)
+        w = [rng.integers(0, p, size=(1, 4500)) for _ in range(2)]
+        y = al.awgn_channel(al.modulate(w, sig), H, rng, noise_variance=1.0)
+        for m in range(2):
+            assert_all_demods_agree(y[m], eq.receivers[m], p, sig.scaling)
+
+    def test_two_user_example(self):
+        rng = np.random.default_rng(7)
+        sig = al.example_signature(H_EXAMPLE, p=5, mode="tight")
+        eq = al.derive_equation_system(sig)
+        w = [rng.integers(0, 5, size=(2, 600)) for _ in range(2)]
+        y = al.awgn_channel(al.modulate(w, sig), H_EXAMPLE, rng, noise_variance=1.0)
+        assert max(len(g.contributors) for g in eq.receivers[0]) == 2
+        for m in range(2):
+            assert_all_demods_agree(y[m], eq.receivers[m], 5, sig.scaling)
+
+    @pytest.mark.parametrize("values, contributors", [
+        ([1.0, 1.0], [1, 1]),
+        ([1.0, 2.0, 1.0], [2, 1, 3]),
+        ([0.5, 1.5, 1.5], [3, 3, 1]),
+        ([2.0, 0.5, 1.0], [1, 2, 2]),
+        ([1.5], [3]),
+    ])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_equal_value_runs_at_points_and_midpoints(self, values, contributors, p):
+        groups = _groups(values, contributors)
+        y = _signal_points_and_midpoints(groups, p, 1.0)
+        y = np.concatenate([y, y[::-1] + 1e-12, [-3.0, 1e3]])
+        assert_all_demods_agree(y, groups, p, 1.0)
+
+    def test_magnitudes_where_rounding_decides(self):
+        # near 2^53 the spacing of floats is a few units, so which probe of
+        # the j-2 .. j+2 window wins is decided by rounding; exhaustive may
+        # then pick a point outside the window, so only the loop is compared
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            big = float(2.0 ** rng.integers(50, 56))
+            values = [big * rng.uniform(0.5, 2.0), 1.0 + rng.integers(0, 4) * 0.25,
+                      rng.uniform(0.5, 3.0)]
+            n_groups = int(rng.integers(2, 4))
+            groups = _groups(values[:n_groups], [1] * n_groups)
+            p = int(rng.choice([3, 5]))
+            points = _signal_points_and_midpoints(groups, p, 1.0)
+            y = np.concatenate([
+                points + rng.integers(-8, 9, size=points.size) * np.spacing(points),
+                rng.uniform(points.min(), points.max(), size=50),
+            ])
+            mm = al.ml_demodulate(y, groups, p, 1.0, strategy="mitm")
+            assert np.array_equal(mm, loop_mitm(y, groups, p, 1.0)), (values, p)
+
+    def test_zero_d_and_empty_input(self):
+        groups = _groups([1.0, 2.0, 1.0], [1, 2, 1])
+        for y in (np.float64(2.5), 2.5, np.array(7.0)):
+            ref = loop_mitm(y, groups, 3, 1.0)
+            assert ref.shape == (3,)
+            for strategy in ("exhaustive", "mitm"):
+                assert np.array_equal(al.ml_demodulate(y, groups, 3, 1.0, strategy=strategy), ref)
+        for strategy in ("exhaustive", "mitm"):
+            out = al.ml_demodulate(np.zeros(0), groups, 3, 1.0, strategy=strategy)
+            assert out.shape == (3, 0) and out.dtype == np.int64
+
+    def test_one_symbol_per_chunk(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        groups = _groups([1.0, 1.5, 2.0], [2, 1, 1])
+        y = np.concatenate([_signal_points_and_midpoints(groups, 5, 1.0),
+                            rng.uniform(-2.0, 25.0, size=300)])
+        full = {s: al.ml_demodulate(y, groups, 5, 1.0, strategy=s) for s in ("exhaustive", "mitm")}
+        monkeypatch.setattr(al, "DEMOD_CHUNK_CELLS", 1)
+        for strategy, ref in full.items():
+            assert np.array_equal(al.ml_demodulate(y, groups, 5, 1.0, strategy=strategy), ref)
+        assert np.array_equal(full["mitm"], full["exhaustive"])
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "mitm"])
+    @pytest.mark.parametrize("y, scaling", [
+        ([0.0, math.nan], 1.0),
+        ([math.inf], 1.0),
+        ([1.0, -math.inf], 1.0),
+        ([1.0], math.nan),
+        ([1.0], math.inf),
+        (math.nan, 1.0),
+    ])
+    def test_non_finite_input_rejected(self, strategy, y, scaling):
+        groups = _groups([1.0, 2.0], [1, 1])
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            al.ml_demodulate(y, groups, 3, scaling, strategy=strategy)
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "mitm"])
+    def test_memory_bounded_by_chunks(self, strategy):
+        # 15,000 symbols x 961 candidates: the unchunked distance matrix and
+        # its abs() were 2 x 110 MiB; the chunked search stays under 16 MiB
+        groups = _groups([1.0, math.sqrt(2.0)], [1, 1])
+        y = np.random.default_rng(9).uniform(-1.0, 75.0, size=15_000)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = al.ml_demodulate(y, groups, 31, 1.0, strategy=strategy)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (2, 15_000)
+        assert peak < 16 * 2**20, peak

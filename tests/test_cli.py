@@ -156,6 +156,21 @@ class TestAlign:
             cli.main(["align", "--p", "5", "--trials", "5", "--set", "noise_variance=-1",
                       "--out", str(tmp_path / "o")])
 
+    @pytest.mark.parametrize("c5", ["0", "-1"])
+    @pytest.mark.parametrize("geometry", ["canonical", "example"])
+    def test_non_positive_c5_rejected(self, tmp_path, geometry, c5):
+        with pytest.raises(InvalidArgumentError, match=f"c5 must be finite and > 0, got {float(c5)}"):
+            cli.main(["align", "--p", "5", "--trials", "5", "--set", f"geometry={geometry}",
+                      "--set", "noise_variance=1", "--set", f"c5={c5}",
+                      "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o" / "align.csv").exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_trials_rejected(self, tmp_path, trials):
+        with pytest.raises(InvalidArgumentError, match=f"trials must be >= 1, got {trials}"):
+            cli.main(["align", "--p", "5", "--trials", trials, "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o" / "align.csv").exists()
+
     def test_determinism(self, tmp_path):
         args = ["align", "--p", "5", "--trials", "50", "--set", "noise_variance=1",
                 "--set", "geometry=canonical", "--l", "1", "--set", "t_len=7",
