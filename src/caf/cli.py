@@ -293,6 +293,9 @@ def cmd_align(config: dict, outdir: str) -> str:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     noise_var = float(config.get("noise_variance", 0.0))
     c5 = float(config.get("c5", 1.0))
+    if not (math.isfinite(c5) and c5 > 0):
+        # checked for every scaling mode: the CSV echoes c5 even where unused
+        raise InvalidArgumentError(f"c5 must be finite and > 0, got {c5}")
     strategy = config.get("demod_strategy", "exhaustive")
     message_len = int(config.get("message_len", 4))
     distance = int(config.get("code_distance", 3))
@@ -382,34 +385,41 @@ def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corru
                     pos = corrupt_rng.integers(0, t_len, size=corrupt)
                     cols[pos, tr] = (cols[pos, tr] + 1 + corrupt_rng.integers(0, p - 1)) % p
         decoded_equations.append(hat_mod)
-    # outer decode, one batched call per (receiver, group). The code is linear
-    # and injective, so a true equation's message is the sum of its
-    # contributors' messages mod p.
+    # outer decode, one batched call per receiver over all its groups. The
+    # code is linear and injective, so a true equation's message is the sum
+    # of its contributors' messages mod p.
     true_msgs = alignment.true_equations([np.stack(tx) for tx in messages], eqsys, sig)
     u_msgs = []
     for m in range(k):
-        decoded = np.stack([fpcode.md_decode(code, eq.reshape(t_len, trials)).message
-                            for eq in decoded_equations[m]])  # (n_groups, message_len, trials)
+        n_groups = decoded_equations[m].shape[0]
+        words = decoded_equations[m].reshape(n_groups, t_len, trials).transpose(1, 0, 2)
+        decoded = fpcode.md_decode(code, words.reshape(t_len, -1)).message
+        decoded = decoded.reshape(code.message_len, n_groups, trials).transpose(1, 0, 2)
         bad = np.any(np.any(decoded != true_msgs[m] % p, axis=1), axis=0)
         equation_block_errors += int(np.count_nonzero(bad))
         u_msgs.append(decoded)
-    # inversion: per trial, solve all message symbols at once
-    for tr in range(trials):
-        u_trial = [u_msgs[m][:, :, tr] for m in range(k)]
-        try:
-            result = inversion.peel_invert(eqsys, u_trial)
-        except InvalidArgumentError:
-            # wrong equations can make an overdetermined system inconsistent
-            message_mismatches += 1
-            continue
-        ok = all(
-            np.array_equal(result.values[(kk, sub.index)] % p,
-                           messages[kk][i][:, tr] % p)
-            for kk in range(k)
-            for i, sub in enumerate(sig.transmitters[kk])
-        )
-        if not ok:
-            message_mismatches += 1
+    # inversion: one solve per block, every trial a column of the right-hand
+    # sides; peeling and elimination treat the columns independently
+    try:
+        solved = [(inversion.peel_invert(eqsys, u_msgs).values, slice(None))]
+    except InvalidArgumentError:
+        # wrong equations can make an overdetermined system inconsistent;
+        # re-solve trial by trial so each such trial counts as one mismatch
+        solved = []
+        for tr in range(trials):
+            try:
+                result = inversion.peel_invert(eqsys, [u[:, :, tr] for u in u_msgs])
+            except InvalidArgumentError:
+                message_mismatches += 1
+                continue
+            solved.append((result.values, slice(tr, tr + 1)))
+    for values, cols in solved:
+        wrong = False  # per trial: some submessage was not recovered
+        for kk in range(k):
+            for i, sub in enumerate(sig.transmitters[kk]):
+                got = values[(kk, sub.index)].reshape(code.message_len, -1)
+                wrong = wrong | np.any(got != messages[kk][i][:, cols] % p, axis=0)
+        message_mismatches += int(np.count_nonzero(wrong))
     return {
         "power_mean": power_mean,
         "demod_symbol_errors": demod_symbol_errors,

@@ -19,6 +19,8 @@ from .errors import InvalidArgumentError, ResourceLimitError, SearchFailureError
 from .seeding import child_rng
 
 DECODE_BUDGET = 1 << 20
+# cells held by md_decode's per-chunk distance array (and its bool buffer)
+DECODE_CHUNK_CELLS = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -168,14 +170,20 @@ class DecodeResult:
 def md_decode(S: GeneratorMatrix, received, budget: int = DECODE_BUDGET) -> DecodeResult:
     """Exhaustive minimum-Hamming-distance decoding of a word or a batch.
 
-    ``received`` is one (T,) word or a (T, n) batch of words in columns;
-    a batch returns ``message`` as (message_len, n) and ``corrections`` and
-    ``ambiguous`` as (n,) arrays, column by column equal to decoding each
-    word alone. Guaranteed correct for error weight <= floor((d-1)/2).
-    Ties are reported ambiguous and resolved to the lexicographically
-    smallest message (first symbol most significant). Distances are
-    counted one code symbol at a time into a (p^message_len, n) array of
-    the narrowest unsigned type that holds T.
+    ``received`` is one (T,) word or a (T, n) batch of words in columns,
+    with every symbol in [0, p); a batch returns ``message`` as
+    (message_len, n) and ``corrections`` and ``ambiguous`` as (n,) arrays,
+    column by column equal to decoding each word alone. Guaranteed correct
+    for error weight <= floor((d-1)/2). Ties are reported ambiguous and
+    resolved to the lexicographically smallest message (first symbol most
+    significant).
+
+    The codebook is encoded once per call, in the narrowest unsigned type
+    that holds p. Words are decoded in chunks: each chunk's
+    (words, p^message_len) distance count, in the narrowest unsigned type
+    that holds T, and its reused bool buffer hold at most
+    ``DECODE_CHUNK_CELLS`` cells, or one word's row when a row is wider.
+    Memory therefore does not grow with the batch size.
     """
     received = np.asarray(received, dtype=np.int64)
     if received.ndim not in (1, 2) or received.shape[0] != S.t:
@@ -185,15 +193,34 @@ def md_decode(S: GeneratorMatrix, received, budget: int = DECODE_BUDGET) -> Deco
         raise ResourceLimitError(
             f"decode enumeration of {count} messages exceeds budget {budget}"
         )
+    if received.size and (received.min() < 0 or received.max() >= S.p):
+        raise InvalidArgumentError(
+            f"received symbols must lie in [0, {S.p}), got "
+            f"{int(received.min())}..{int(received.max())}"
+        )
+    symbol = np.min_scalar_type(S.p)
     msgs = all_messages(S.p, S.message_len)
-    words = encode(S, msgs.T)  # (T, count)
-    batch = received.reshape(S.t, -1)
-    dists = np.zeros((count, batch.shape[1]), dtype=np.min_scalar_type(S.t))
-    for word_row, received_row in zip(words, batch):
-        dists += word_row[:, None] != received_row[None, :]
-    best = np.argmin(dists, axis=0)  # first minimum = lexicographically smallest
-    ambiguous = count - 1 - np.argmin(dists[::-1], axis=0) != best  # last minimum differs
-    corrections = dists[best, np.arange(batch.shape[1])].astype(np.int64)
+    codebook = encode(S, msgs.T).astype(symbol)  # (T, count)
+    batch = received.reshape(S.t, -1).astype(symbol)
+    n = batch.shape[1]
+    best = np.empty(n, dtype=np.intp)
+    corrections = np.empty(n, dtype=np.int64)
+    ambiguous = np.empty(n, dtype=bool)
+    rows = max(1, DECODE_CHUNK_CELLS // count)
+    dists = np.empty((min(rows, n), count), dtype=np.min_scalar_type(S.t))
+    differs = np.empty(dists.shape, dtype=bool)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        dist, diff = dists[: hi - lo], differs[: hi - lo]
+        dist.fill(0)
+        for word_row, received_row in zip(codebook, batch[:, lo:hi]):
+            np.not_equal(received_row[:, None], word_row[None, :], out=diff)
+            np.add(dist, diff.view(np.uint8), out=dist)  # uint8 view: no bool cast
+        first = np.argmin(dist, axis=1)  # first minimum = lexicographically smallest
+        last = count - 1 - np.argmin(dist[:, ::-1], axis=1)
+        best[lo:hi] = first
+        ambiguous[lo:hi] = last != first  # another message is just as close
+        corrections[lo:hi] = dist[np.arange(hi - lo), first]
     if received.ndim == 1:
         return DecodeResult(msgs[best[0]].copy(), int(corrections[0]), bool(ambiguous[0]))
     return DecodeResult(msgs[best].T, corrections, ambiguous)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -164,6 +165,56 @@ class TestAlign:
                       "--set", "noise_variance=1", "--set", f"c5={c5}",
                       "--out", str(tmp_path / "o")])
         assert not (tmp_path / "o" / "align.csv").exists()
+
+    @pytest.mark.parametrize("c5", ["-1", "nan"])
+    @pytest.mark.parametrize("settings", [("geometry=example",),
+                                          ("geometry=canonical", "scaling_mode=unit")],
+                             ids=["example", "canonical_unit"])
+    def test_c5_checked_where_scaling_ignores_it(self, tmp_path, settings, c5):
+        # the example geometry at noise 0 scales by 1 and so does canonical
+        # unit scaling; neither reads c5, but the CSV would still echo it
+        sets = [arg for item in settings for arg in ("--set", item)]
+        with pytest.raises(InvalidArgumentError, match=f"c5 must be finite and > 0, got {float(c5)}"):
+            cli.main(["align", "--p", "5", "--trials", "5", *sets, "--set", "noise_variance=0",
+                      "--set", f"c5={c5}", "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o" / "align.csv").exists()
+
+    MISMATCH_PINS = [
+        # noise 4 makes some trials' overdetermined example systems
+        # inconsistent; each such trial is one mismatch
+        (("--p", "3", "5", "7", "--trials", "200", "--set", "noise_variance=4",
+          "--seed", "0"), [12, 3, 0]),
+        (("--p", "3", "5", "7", "--trials", "200", "--set", "noise_variance=4",
+          "--seed", "1"), [0, 2, 1]),
+        # canonical peeling never fails, so wrong trials are counted from
+        # one solve of the whole block
+        (("--p", "3", "5", "--trials", "100", "--set", "geometry=canonical", "--l", "1",
+          "--set", "demod_strategy=oracle", "--set", "inject_corruptions=2",
+          "--set", "t_len=7", "--set", "message_len=2"), [22, 18]),
+    ]
+
+    @pytest.mark.parametrize("argv, mismatches", MISMATCH_PINS,
+                             ids=["example_n4_s0", "example_n4_s1", "canonical_injected"])
+    def test_message_mismatches(self, tmp_path, argv, mismatches):
+        out = run(tmp_path, "align", *argv)
+        header, *rows = [l.split(",") for l in (out / "align.csv").read_text().splitlines()]
+        col = header.index("message_mismatches")
+        assert [int(r[col]) for r in rows] == mismatches
+
+    # SHA-256 of align.csv for fixed (config, seed): a faster pipeline must
+    # leave these bytes alone
+    ALIGN_DIGESTS = [
+        (("--set", "noise_variance=4", "--seed", "0"),
+         "611e16131f4507b9c23ebb135356eb5b0f1dd6bd046894aa1c6df0b95762092b"),
+        (("--set", "geometry=canonical", "--l", "1", "--set", "c5=0.3",
+          "--set", "noise_variance=3", "--seed", "1"),
+         "6ac141c1eba04a650ec92920f0c481dd2488412ea8a52f6443f61452a7a4b242"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", ALIGN_DIGESTS, ids=["example_n4", "canonical_c03_n3"])
+    def test_csv_digest(self, tmp_path, argv, digest):
+        out = run(tmp_path, "align", "--p", "3", "5", "7", "--trials", "200", *argv)
+        assert hashlib.sha256((out / "align.csv").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_non_positive_trials_rejected(self, tmp_path, trials):

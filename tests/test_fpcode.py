@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,45 @@ HAMMING74 = fpcode.GeneratorMatrix(
         ]
     ),
 )
+
+
+def loop_md_decode(S, received):
+    """Reference decoder: one (p^message_len, n) count, one code position at a time.
+
+    This is the decoder ``md_decode`` replaced; its distance count and its
+    first/last ``argmin`` tie-break are what the chunked decoder must
+    reproduce bit for bit.
+    """
+    received = np.asarray(received, dtype=np.int64)
+    count = S.p**S.message_len
+    msgs = fpcode.all_messages(S.p, S.message_len)
+    words = fpcode.encode(S, msgs.T)  # (T, count)
+    batch = received.reshape(S.t, -1)
+    dists = np.zeros((count, batch.shape[1]), dtype=np.min_scalar_type(S.t))
+    for word_row, received_row in zip(words, batch):
+        dists += word_row[:, None] != received_row[None, :]
+    best = np.argmin(dists, axis=0)
+    ambiguous = count - 1 - np.argmin(dists[::-1], axis=0) != best
+    corrections = dists[best, np.arange(batch.shape[1])].astype(np.int64)
+    return fpcode.DecodeResult(msgs[best].T, corrections, ambiguous)
+
+
+def assert_same_decode(res, ref):
+    assert res.message.dtype == ref.message.dtype == np.int64
+    assert res.corrections.dtype == ref.corrections.dtype == np.int64
+    assert np.array_equal(res.message, ref.message)
+    assert np.array_equal(res.corrections, ref.corrections)
+    assert np.array_equal(res.ambiguous, ref.ambiguous)
+
+
+def random_and_near_codewords(S, rng, n):
+    """n uniform words, then n codewords with 1..3 symbols changed."""
+    uniform = rng.integers(0, S.p, size=(S.t, n))
+    near = fpcode.encode(S, rng.integers(0, S.p, size=(S.message_len, n)))
+    for j in range(n):
+        pos = rng.choice(S.t, size=rng.integers(1, 4), replace=False)
+        near[pos, j] = (near[pos, j] + rng.integers(1, S.p, size=pos.size)) % S.p
+    return np.concatenate([uniform, near], axis=1)
 
 
 class TestFieldOps:
@@ -246,6 +286,83 @@ class TestMdDecode:
         res = fpcode.md_decode(S, word)
         assert res.message.tolist() == [1]
         assert res.corrections == 40
+
+
+class TestMdDecodeAgainstLoop:
+    @pytest.mark.parametrize("p, message_len", [(3, 4), (5, 4), (7, 3), (11, 4)])
+    def test_random_and_near_codeword_words(self, p, message_len):
+        S = fpcode.gv_search(p, 15, 3, seed=p, message_len=message_len)
+        batch = random_and_near_codewords(S, np.random.default_rng(p), 300)
+        res = fpcode.md_decode(S, batch)
+        assert_same_decode(res, loop_md_decode(S, batch))
+        assert np.all(res.corrections[300:] <= 3)
+
+    def test_ties(self):
+        rng = np.random.default_rng(5)
+        codes = [
+            fpcode.GeneratorMatrix(3, np.ones((4, 1), dtype=int)),  # even T: 2-2 ties
+            fpcode.GeneratorMatrix(5, np.array([[1, 0], [0, 1], [1, 1], [1, 2]])),
+            fpcode.GeneratorMatrix(7, rng.integers(0, 7, size=(5, 2))),
+        ]
+        for S in codes:
+            batch = rng.integers(0, S.p, size=(S.t, 500))
+            res = fpcode.md_decode(S, batch)
+            assert_same_decode(res, loop_md_decode(S, batch))
+            assert res.ambiguous.any() and not res.ambiguous.all(), S.entries
+
+    @pytest.mark.parametrize("cells", ["one", "seven_rows_and_a_rest"])
+    def test_chunk_boundaries(self, monkeypatch, cells):
+        S = fpcode.gv_search(5, 15, 3, seed=5, message_len=4)
+        count = S.p**S.message_len
+        # 601 words: 7 rows per chunk does not divide the batch
+        value = 1 if cells == "one" else 7 * count + 3
+        monkeypatch.setattr(fpcode, "DECODE_CHUNK_CELLS", value)
+        batch = random_and_near_codewords(S, np.random.default_rng(6), 300)
+        batch = np.concatenate([batch, batch[:, :1]], axis=1)
+        assert batch.shape[1] == 601
+        assert_same_decode(fpcode.md_decode(S, batch), loop_md_decode(S, batch))
+
+    def test_empty_batch(self):
+        res = fpcode.md_decode(HAMMING74, np.zeros((7, 0), dtype=int))
+        assert res.message.shape == (4, 0)
+        assert res.corrections.shape == res.ambiguous.shape == (0,)
+
+    def test_memory_bounded_by_chunk(self):
+        S = fpcode.gv_search(11, 15, 3, seed=0, message_len=4)
+        batch = np.random.default_rng(0).integers(0, 11, size=(15, 3000))
+        tracemalloc.start()
+        try:
+            fpcode.md_decode(S, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the unchunked (14641, 3000) count plus its bool temporary is ~86 MiB
+        assert peak < 16 * 2**20, peak
+
+
+class TestReceivedSymbolRange:
+    @pytest.mark.parametrize("bad", [-1, 11])
+    def test_out_of_range_symbols_rejected(self, bad):
+        S = fpcode.gv_search(11, 15, 3, seed=0, message_len=2)
+        word = np.zeros(15, dtype=int)
+        word[3] = bad
+        with pytest.raises(InvalidArgumentError, match=r"received symbols must lie in \[0, 11\)"):
+            fpcode.md_decode(S, word)
+        batch = np.zeros((15, 4), dtype=int)
+        batch[7, 2] = bad
+        with pytest.raises(InvalidArgumentError, match=r"received symbols must lie in \[0, 11\)"):
+            fpcode.md_decode(S, batch)
+
+    def test_p257_symbols_do_not_wrap(self):
+        S = fpcode.GeneratorMatrix(257, np.ones((3, 1), dtype=int))  # repetition over F_257
+        # in a uint8 alphabet 256 would read as 0 and tie codeword 256 with codeword 0
+        res = fpcode.md_decode(S, np.array([[256, 256], [0, 256], [0, 0]]))
+        assert res.message.tolist() == [[0, 256]]
+        assert res.corrections.tolist() == [1, 1]
+        assert res.ambiguous.tolist() == [False, False]
+        for bad in (-1, 257):
+            with pytest.raises(InvalidArgumentError, match=r"\[0, 257\)"):
+                fpcode.md_decode(S, np.array([bad, 0, 0]))
 
 
 class TestSerialization:

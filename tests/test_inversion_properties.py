@@ -1,0 +1,47 @@
+"""Property test: peeling a block of right-hand sides equals peeling each column."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from caf import alignment as al  # noqa: E402
+from caf import inversion as inv  # noqa: E402
+from caf.errors import NonGenericChannelError  # noqa: E402
+
+
+@st.composite
+def peel_blocks(draw):
+    L = draw(st.sampled_from([1, 2]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = rng.uniform(0.5, 2.0, size=(2, 2))
+    try:
+        sig = al.canonical_signature(H, L, p, mode="unit")
+    except NonGenericChannelError:
+        hypothesis.assume(False)
+    eqsys = al.derive_equation_system(sig, H)
+    cols = draw(st.integers(1, 6))
+    w = [rng.integers(0, p, size=(len(tx), cols)) for tx in sig.transmitters]
+    u = [t % p for t in al.true_equations(w, eqsys, sig)]
+    # corrupt some equations: peeling must still treat columns independently
+    rate = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    for um in u:
+        hit = rng.random(um.shape) < rate
+        um[hit] = (um[hit] + rng.integers(1, p, size=int(hit.sum()))) % p
+    return eqsys, u
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(peel_blocks())
+def test_block_peel_equals_column_peels(instance):
+    eqsys, u = instance
+    block = inv.peel_invert(eqsys, u)
+    assert not block.fallback
+    for j in range(u[0].shape[1]):
+        one = inv.peel_invert(eqsys, [um[:, j] for um in u])
+        assert one.rounds == block.rounds
+        assert one.values.keys() == block.values.keys()
+        for key, val in one.values.items():
+            assert np.array_equal(block.values[key][j : j + 1], val)
