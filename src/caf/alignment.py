@@ -119,15 +119,19 @@ def canonical_signature(
     k = H.shape[0]
     if not is_prime(p):
         raise InvalidArgumentError(f"{p} is not prime")
+    if L < 1:
+        raise InvalidArgumentError("degree bound L must be >= 1")
     big = diophantine.build_monomial_set(H, L + 1)
     if not diophantine.check_unique_factorization(big, rel_tol):
         raise NonGenericChannelError(
             "channel monomials collide up to degree L+1; resample H"
         )
-    mset = diophantine.build_monomial_set(H, L)
-    # index submessages in exponent order so the equation structure (and the
-    # incidence matrix built from it) never depends on float values of H
-    by_exponent = sorted(mset.monomials, key=lambda mono: mono.exponents)
+    # G_L: the G_{L+1} monomials with no exponent equal to L. Square-and-multiply
+    # skips zero high bits, so their values are those of a G_L build, bit for bit.
+    # Submessages are indexed in exponent order so the equation structure (and
+    # the incidence matrix built from it) never depends on float values of H
+    by_exponent = sorted((mono for mono in big.monomials if L not in mono.exponents),
+                         key=lambda mono: mono.exponents)
     subs = [Submessage(i, m.exponents, m.value) for i, m in enumerate(by_exponent)]
     n = k * k
     gain_exp = tuple(

@@ -439,9 +439,13 @@ def cmd_invert(config: dict, outdir: str) -> str:
     l = int(config.get("l", 2))
     p_list = _as_list(config.get("p", 5))
     if len(p_list) != 1:
-        raise ValueError(f"invert takes one prime p, got p={p_list}")
+        raise InvalidArgumentError(f"invert takes one prime p, got p={p_list}")
     p = int(p_list[0])
     samples = int(config.get("samples", 100))
+    if k < 1:
+        raise InvalidArgumentError(f"k must be >= 1, got {k}")
+    if l < 1:
+        raise InvalidArgumentError(f"l must be >= 1, got {l}")
     if samples < 0:
         raise InvalidArgumentError(f"samples must be >= 0, got {samples}")
     # full column rank K |G_L| over F_p is the injectivity claim
@@ -462,21 +466,22 @@ def cmd_invert(config: dict, outdir: str) -> str:
              for kk in range(k)]
         u = [t % p for t in alignment.true_equations(w, eqsys, sig)]
         peel = inversion.peel_invert(eqsys, u)
-        solve = inversion.solve_linear(inversion.build_incidence(eqsys), u, eqsys)
+        incidence = inversion.build_incidence(eqsys)
+        solve = inversion.solve_linear(incidence, u, eqsys)
         # a matrix's rank does not depend on the right-hand side, so this
         # elimination is also the injectivity check
         if solve.rank == full_rank:
             injective += 1
-        if solve.values is not None and all(
-            np.array_equal(peel.values[key], solve.values[key]) for key in solve.values
-        ):
-            recovered = all(
-                np.array_equal(peel.values[(kk, sub.index)], w[kk][i] % p)
-                for kk in range(k)
-                for i, sub in enumerate(sig.transmitters[kk])
-            )
-            if recovered:
+        if solve.values is not None:
+            # full rank: solve.values and the sent submessages (k, i) are both
+            # in col_keys order, so one comparison checks peel == solve == sent
+            peeled = np.stack([peel.values[key] for key in incidence.col_keys])
+            expected = np.stack([np.stack(list(solve.values.values())), np.concatenate(w) % p])
+            if np.all(expected == peeled):
                 peel_eq += 1
+        # free this sample before the next one is built: it would otherwise
+        # stay resident through the next signature construction (+11 MB at K=3 L=2)
+        del sig, eqsys, w, u, peel, incidence, solve
     header = ["schema_version", "seed", "row_seed", "k", "l", "p", "samples",
               "injective_pass", "peel_equals_solve", "rejected"]
     rows = [[SCHEMA_VERSION, seed, derive_seed(seed, 0), k, l, p, samples,

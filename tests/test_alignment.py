@@ -47,6 +47,22 @@ class TestCanonicalSignature:
             al.canonical_signature(H_GENERIC, 0, 5, mode="tight")
         with pytest.raises(InvalidArgumentError, match="unknown scaling mode 'loose'"):
             al.canonical_signature(H_GENERIC, 1, 5, mode="loose")
+        for L in (0, -1):
+            with pytest.raises(InvalidArgumentError, match="degree bound L must be >= 1"):
+                al.canonical_signature(H_GENERIC, L, 5, mode="unit")
+
+    @pytest.mark.parametrize("k, L", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_submessages_are_g_l_bit_for_bit(self, k, L):
+        # G_L is read off G_{L+1}; it must equal a direct build of G_L
+        H = np.random.default_rng(60 + 10 * k + L).uniform(0.5, 2.0, size=(k, k))
+        sig = al.canonical_signature(H, L, 5, mode="unit")
+        direct = sorted(dio.build_monomial_set(H, L).monomials, key=lambda m: m.exponents)
+        for tx in sig.transmitters:
+            assert [sub.index for sub in tx] == list(range(len(direct)))
+            assert [sub.exponents for sub in tx] == [m.exponents for m in direct]
+            got = np.array([sub.value for sub in tx]).view(np.uint64)
+            want = np.array([m.value for m in direct]).view(np.uint64)
+            assert np.array_equal(got, want)
 
 
 class TestExampleSignature:

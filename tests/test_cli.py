@@ -246,6 +246,24 @@ class TestInvert:
             cli.main(["invert", "--k", "2", "--l", "1", "--p", "3", "5",
                       "--set", "samples=1", "--out", str(tmp_path / "o")])
         assert not (tmp_path / "o" / "invert.csv").exists()
+        with pytest.raises(InvalidArgumentError, match="invert takes one prime p"):
+            cli.main(["invert", "--p", "3", "5", "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k", "0", "k must be >= 1, got 0"),
+        ("--k", "-1", "k must be >= 1, got -1"),
+        ("--l", "0", "l must be >= 1, got 0"),
+        ("--l", "-2", "l must be >= 1, got -2"),
+    ])
+    def test_bad_k_or_l_rejected_up_front(self, tmp_path, monkeypatch, flag, value, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("bad input reached the signature construction")
+
+        monkeypatch.setattr(cli.alignment, "canonical_signature", no_work)
+        with pytest.raises(InvalidArgumentError, match=message):
+            cli.main(["invert", flag, value, "--p", "3", "--set", "samples=2",
+                      "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o" / "invert.csv").exists()
 
     def test_negative_samples_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError, match="samples must be >= 0, got -4"):

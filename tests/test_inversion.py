@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,69 @@ class TestSolveLinearAgainstFullWidth:
         before = sys.matrix.copy()
         inv.solve_linear(sys, rng.integers(0, 7, size=(12, 1)))
         assert np.array_equal(sys.matrix, before)
+
+
+def generic_canonical_system(k, L, p, rng):
+    while True:
+        try:
+            return canonical_system(rng.uniform(0.5, 2.0, size=(k, k)), L, p)
+        except NonGenericChannelError:
+            continue
+
+
+class TestSolveLinearOnCanonicalIncidence:
+    """The real incidence: K nonzeros per column, rows far outnumbering columns."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("L", [1, 2])
+    @pytest.mark.parametrize("p", [2, 3, 257])
+    def test_matches_full_width(self, k, L, p):
+        rng = np.random.default_rng(100 * k + 10 * L + p)
+        sig, eqsys = generic_canonical_system(k, L, p, rng)
+        sys = inv.build_incidence(eqsys)
+        w = [rng.integers(0, p, size=(len(tx), 2)) for tx in sig.transmitters]
+        u = [np.asarray(t) % p for t in al.true_equations(w, eqsys, sig)]
+        want = full_width_solve(sys, u, eqsys)
+        assert want.values is not None and want.rank == k * al.monomial_card(k, L)
+        assert_same_solve(inv.solve_linear(sys, u, eqsys), want)
+
+        bad = [um.copy() for um in u]
+        m = int(rng.integers(0, k))
+        bad[m][int(rng.integers(0, len(bad[m])))] += 1 + rng.integers(0, p - 1, size=2)
+        want = full_width_solve(sys, bad, eqsys)
+        assert not want.consistent
+        assert_same_solve(inv.solve_linear(sys, bad, eqsys), want)
+
+        # drop receiver 0's rows; at L=1 every receiver reads every
+        # submessage on its own, so also drop the rows that hear (0, 0)
+        keep = [r for r, key in enumerate(sys.row_keys)
+                if key[0] != 0 and not (L == 1 and sys.matrix[r, 0])]
+        sub = inv.IncidenceSystem(sys.matrix[keep], [sys.row_keys[r] for r in keep],
+                                  sys.col_keys, p)
+        rhs = inv._flatten_rhs(u, eqsys)[keep]
+        noisy = rhs.copy()
+        noisy[int(rng.integers(0, len(keep)))] += 1
+        for flat in (rhs, noisy):
+            want = full_width_solve(sub, flat)
+            assert want.values is None and want.rank < len(sys.col_keys)
+            assert_same_solve(inv.solve_linear(sub, flat), want)
+
+    def test_k3_l2_memory_is_linear_in_nonzeros(self):
+        # the dense working copy of this 3648 x 1536 system was 45 MB of int64
+        rng = np.random.default_rng(12)
+        sig, eqsys = generic_canonical_system(3, 2, 3, rng)
+        sys = inv.build_incidence(eqsys)
+        assert sys.matrix.shape == (3648, 1536)
+        w = [rng.integers(0, 3, size=(len(tx), 1)) for tx in sig.transmitters]
+        u = [np.asarray(t) % 3 for t in al.true_equations(w, eqsys, sig)]
+        tracemalloc.start()
+        try:
+            res = inv.solve_linear(sys, u, eqsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.rank == 1536
+        assert peak < 8 * 2**20
 
 
 class TestPeel:

@@ -1,4 +1,4 @@
-"""Property test: peeling a block of right-hand sides equals peeling each column."""
+"""Property tests: block peeling equals per-column peeling; sparse elimination equals dense."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from caf import alignment as al  # noqa: E402
 from caf import inversion as inv  # noqa: E402
 from caf.errors import NonGenericChannelError  # noqa: E402
+from test_inversion import assert_same_solve, full_width_solve  # noqa: E402
 
 
 @st.composite
@@ -45,3 +46,31 @@ def test_block_peel_equals_column_peels(instance):
         assert one.values.keys() == block.values.keys()
         for key, val in one.values.items():
             assert np.array_equal(block.values[key][j : j + 1], val)
+
+
+@st.composite
+def linear_systems(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 257]))
+    rows = draw(st.integers(1, 14))
+    cols = draw(st.integers(1, 14))
+    width = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # sparse 0/1, like an incidence
+        M = (rng.random((rows, cols)) < draw(st.sampled_from([0.1, 0.25, 0.5]))).astype(np.int8)
+    else:  # dense over F_p
+        M = rng.integers(0, p, size=(rows, cols))
+    if draw(st.booleans()):
+        u = M.astype(np.int64) @ rng.integers(0, p, size=(cols, width)) % p
+    else:
+        u = rng.integers(0, p, size=(rows, width))
+    return inv.IncidenceSystem(M, [(r % 3, (r,)) for r in range(rows)],
+                               [(c % 2, c) for c in range(cols)], p), u
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+@hypothesis.given(linear_systems())
+def test_sparse_solve_equals_dense(instance):
+    sys, u = instance
+    before = sys.matrix.copy()
+    assert_same_solve(inv.solve_linear(sys, u), full_width_solve(sys, u))
+    assert np.array_equal(sys.matrix, before)
