@@ -99,13 +99,21 @@ def monomial_card(k: int, l: int) -> int:
     return l ** (k * k)
 
 
+def _canonical_gain_exponents(k: int) -> tuple:
+    """``gain_exponents`` of the canonical scheme: h[m, k] is the one-hot symbol m K + k."""
+    n = k * k
+    return tuple(
+        tuple(tuple(1 if j == m * k + kk else 0 for j in range(n)) for kk in range(k))
+        for m in range(k)
+    )
+
+
 def canonical_signature(
     H,
     L: int,
     p: int,
     mode: str = "worstcase",
     c5_target: float = 1.0,
-    rel_tol: float = diophantine.UNIQUE_FACTORIZATION_REL_TOL,
 ) -> SignatureMap:
     """One submessage per monomial of G_L at every transmitter.
 
@@ -122,7 +130,7 @@ def canonical_signature(
     if L < 1:
         raise InvalidArgumentError("degree bound L must be >= 1")
     big = diophantine.build_monomial_set(H, L + 1)
-    if not diophantine.check_unique_factorization(big, rel_tol):
+    if not diophantine.check_unique_factorization(big.values):
         raise NonGenericChannelError(
             "channel monomials collide up to degree L+1; resample H"
         )
@@ -130,15 +138,13 @@ def canonical_signature(
     # skips zero high bits, so their values are those of a G_L build, bit for bit.
     # Submessages are indexed in exponent order so the equation structure (and
     # the incidence matrix built from it) never depends on float values of H
-    by_exponent = sorted((mono for mono in big.monomials if L not in mono.exponents),
-                         key=lambda mono: mono.exponents)
-    subs = [Submessage(i, m.exponents, m.value) for i, m in enumerate(by_exponent)]
-    n = k * k
-    gain_exp = tuple(
-        tuple(tuple(1 if j == m * k + kk else 0 for j in range(n)) for kk in range(k))
-        for m in range(k)
-    )
-    sig = SignatureMap(H, gain_exp, [list(subs) for _ in range(k)], p, 1.0, L, mode)
+    small = (big.exponents < L).all(axis=1)
+    exps, vals = big.exponents[small], big.values[small]
+    order = np.lexsort(exps.T[::-1])
+    subs = [Submessage(i, tuple(e), v)
+            for i, (e, v) in enumerate(zip(exps[order].tolist(), vals[order].tolist()))]
+    sig = SignatureMap(H, _canonical_gain_exponents(k), [list(subs) for _ in range(k)],
+                       p, 1.0, L, mode)
     if mode == "worstcase":
         card = monomial_card(k, L + 1)
         log2_b = card * math.log2(k * p)
@@ -148,7 +154,7 @@ def canonical_signature(
             )
         sig.scaling = float((k * p) ** card)
     elif mode == "tight":
-        eqsys = derive_equation_system(sig, H, rel_tol)
+        eqsys = derive_equation_system(sig, H)
         sig.scaling = tight_scaling_factor(eqsys, c5_target)
     elif mode != "unit":
         raise InvalidArgumentError(f"unknown scaling mode {mode!r}")
@@ -168,22 +174,18 @@ def example_signature(H, p: int = 5, mode: str = "unit", c5_target: float = 1.0)
         raise InvalidArgumentError("the worked example is K=2 only")
     if H[0, 0] != 1.0 or H[1, 1] != 1.0:
         raise InvalidArgumentError("expected unit diagonal: H = [[1, h2], [h1, 1]]")
+    if not np.all(np.isfinite(H)):
+        raise InvalidArgumentError("example channel gains must be finite")
     if not is_prime(p):
         raise InvalidArgumentError(f"{p} is not prime")
     h1, h2 = float(H[1, 0]), float(H[0, 1])
     # genericity over the two off-diagonal gains: all monomials h1^a h2^b
     # appearing in signatures or receive coefficients must be distinct
-    vals = {}
-    for a in range(4):
-        for b in range(3):
-            vals[(a, b)] = (h1**a) * (h2**b)
-    flat = sorted(vals.values(), key=abs)
-    scale = max(abs(v) for v in flat) or 1.0
-    for x, y in zip(flat, flat[1:]):
-        if abs(y - x) <= 1e-9 * scale:
-            raise NonGenericChannelError(
-                "example channel gains collide (e.g. h1 = h2 makes h1 h2 = h1^2)"
-            )
+    vals = [(h1**a) * (h2**b) for a in range(4) for b in range(3)]
+    if not diophantine.check_unique_factorization(vals):
+        raise NonGenericChannelError(
+            "example channel gains collide (e.g. h1 = h2 makes h1 h2 = h1^2)"
+        )
     # alphabet (h1, h2); unit diagonal gains contribute no exponents
     gain_exp = (((0, 0), (0, 1)), ((1, 0), (0, 0)))
     tx1 = [Submessage(0, (0, 0), 1.0), Submessage(1, (1, 1), h1 * h2)]
@@ -197,15 +199,14 @@ def example_signature(H, p: int = 5, mode: str = "unit", c5_target: float = 1.0)
     return sig
 
 
-def derive_equation_system(
-    sig: SignatureMap, H=None, rel_tol: float = diophantine.UNIQUE_FACTORIZATION_REL_TOL
-) -> EquationSystem:
+def derive_equation_system(sig: SignatureMap, H=None) -> EquationSystem:
     """Group (transmitter, submessage) pairs by receive exponent tuple.
 
     Grouping is exact integer arithmetic on exponents; the attached float
     values are only carried along for distance computations. Distinct
-    exponent groups whose values collide at rel_tol mark a non-generic
-    channel and are rejected.
+    exponent groups whose values collide under
+    ``diophantine.check_unique_factorization`` mark a non-generic channel
+    and are rejected.
     """
     H = sig.h if H is None else np.asarray(H, dtype=float)
     k = sig.k
@@ -225,13 +226,10 @@ def derive_equation_system(
             EquationGroup(key, val, sorted(contrib))
             for key, (val, contrib) in sorted(groups.items(), key=lambda kv: (kv[1][0], kv[0]))
         ]
-        vals = [g.value for g in ordered]
-        scale = max((abs(v) for v in vals), default=1.0) or 1.0
-        for x, y in zip(vals, vals[1:]):
-            if abs(y - x) <= rel_tol * scale:
-                raise NonGenericChannelError(
-                    f"receive monomials collide at receiver {m}; resample H"
-                )
+        if not diophantine.check_unique_factorization([g.value for g in ordered]):
+            raise NonGenericChannelError(
+                f"receive monomials collide at receiver {m}; resample H"
+            )
         receivers.append(ordered)
     return EquationSystem(receivers, sig.p, sig.scaling, sig)
 

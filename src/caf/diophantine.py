@@ -26,28 +26,21 @@ UNIQUE_FACTORIZATION_REL_TOL = 1e-9
 DEFAULT_COMBO_BUDGET = 1 << 22
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """One monomial: exponents per gain (row-major (m, k)) and its value at H."""
-
-    exponents: tuple
-    value: float
-
-    def degree(self) -> int:
-        return max(self.exponents) if self.exponents else 0
-
-
 @dataclass
 class MonomialSet:
-    monomials: list
+    """The monomials of G_L at H, sorted by (value, exponents).
+
+    Row i of ``exponents`` (n, K^2) holds monomial i's exponent per gain,
+    row-major (m, k); ``values[i]`` is its value at H.
+    """
+
+    exponents: np.ndarray
+    values: np.ndarray
     l: int
     k: int
 
     def __len__(self):
-        return len(self.monomials)
-
-    def values(self) -> np.ndarray:
-        return np.array([m.value for m in self.monomials])
+        return len(self.values)
 
 
 def evaluate_monomial(gains_flat: np.ndarray, exponents) -> float:
@@ -102,21 +95,21 @@ def build_monomial_set(H, L: int) -> MonomialSet:
         first = tuple(int(e) for e in exps[np.argmax(bad)])
         raise NumericRangeError(f"monomial value overflow/underflow at exponents {first}")
     order = np.lexsort((*exps.T[::-1], values))
-    monomials = [Monomial(tuple(e), v)
-                 for e, v in zip(exps[order].tolist(), values[order].tolist())]
-    return MonomialSet(monomials, L, k)
+    return MonomialSet(exps[order], values[order], L, k)
 
 
-def check_unique_factorization(mset: MonomialSet, rel_tol: float = UNIQUE_FACTORIZATION_REL_TOL) -> bool:
-    """True iff all monomial values are pairwise distinct at rel_tol scale.
+def check_unique_factorization(values) -> bool:
+    """True iff the values are pairwise distinct: the genericity rule.
 
-    The threshold is relative to the largest magnitude in the set, which
-    separates genuine collisions from float noise at desk scales.
+    Every collision test of the package goes through here. Two values
+    collide when their gap is at most ``UNIQUE_FACTORIZATION_REL_TOL``
+    times the largest magnitude, which separates genuine collisions from
+    float noise at desk scales.
     """
-    vals = mset.values()
+    vals = np.asarray(values, dtype=float)
     scale = float(np.max(np.abs(vals))) if len(vals) else 1.0
     gaps = np.diff(np.sort(vals))
-    return bool(np.all(gaps > rel_tol * max(scale, 1e-300)))
+    return bool(np.all(gaps > UNIQUE_FACTORIZATION_REL_TOL * max(scale, 1e-300)))
 
 
 def khinchin_error(h, q: int) -> float:
@@ -271,7 +264,6 @@ def separation_scaling_probe(
     H,
     L: int,
     p_list,
-    rel_tol: float = UNIQUE_FACTORIZATION_REL_TOL,
     budget: int = DEFAULT_COMBO_BUDGET,
 ) -> list[SeparationRow]:
     """Scaled minimum signal-point distance per prime.
@@ -283,21 +275,23 @@ def separation_scaling_probe(
     across p is the numeric shadow of the decay law; a collapsed ratio
     together with a cleared ``generic`` flag marks a degenerate channel.
     """
+    if L < 1:
+        raise InvalidArgumentError("degree bound L must be >= 1")
     H = np.asarray(H, dtype=float)
-    k = H.shape[0]
     big = build_monomial_set(H, L + 1)
-    generic = check_unique_factorization(big, rel_tol)
-    small = build_monomial_set(H, L)
+    generic = check_unique_factorization(big.values)
+    # G_L: the G_{L+1} monomials with no exponent equal to L (same values, bit for bit)
+    small = big.values[(big.exponents < L).all(axis=1)]
+    k = big.k
     rows = []
     for p in p_list:
         p = int(p)
         sep = np.inf
         for m in range(k):
             # keep duplicates: coinciding receive values are a real collision
-            recv = sorted(float(H[m, kk] * g.value) for kk in range(k) for g in small.monomials)
+            recv = np.sort(np.outer(H[m], small).ravel())
             sep = min(sep, monomial_separation(recv, k * (p - 1), integer_shift=False, budget=budget))
-        card = (L + 1) ** (k * k)
-        log2_b = card * math.log2(k * p)
+        log2_b = len(big) * math.log2(k * p)
         if sep > 0.0:
             ratio = 2.0 ** (log2_b + math.log2(sep) - 0.5 * math.log2(p))
         else:

@@ -19,7 +19,8 @@ from .errors import InvalidArgumentError, ResourceLimitError, SearchFailureError
 from .seeding import child_rng
 
 DECODE_BUDGET = 1 << 20
-# cells held by md_decode's per-chunk distance array (and its bool buffer)
+# cells held by md_decode's per-chunk distance array (and its bool buffer),
+# and by each block of codewords that md_decode and min_distance encode
 DECODE_CHUNK_CELLS = 1 << 20
 
 
@@ -81,17 +82,37 @@ def encode(S: GeneratorMatrix, w) -> np.ndarray:
         raise InvalidArgumentError(
             f"message length {w.shape[0]} != {S.message_len}"
         )
-    return (S.entries @ w) % S.p
+    words = S.entries @ w
+    words %= S.p
+    return words
+
+
+def _messages(p: int, k: int, idx: np.ndarray) -> np.ndarray:
+    """Messages number ``idx`` in the order of ``all_messages``, as (len(idx), k) rows."""
+    out = np.empty((len(idx), k), dtype=np.int64)
+    for j in range(k - 1, -1, -1):
+        out[:, j] = idx % p
+        idx = idx // p
+    return out
 
 
 def all_messages(p: int, k: int) -> np.ndarray:
     """All p^k messages as rows, lexicographic (first symbol most significant)."""
-    idx = np.arange(p**k)
-    out = np.empty((p**k, k), dtype=np.int64)
-    for j in range(k - 1, -1, -1):
-        out[:, j] = idx % p
-        idx //= p
-    return out
+    return _messages(p, k, np.arange(p**k))
+
+
+def _codeword_blocks(S: GeneratorMatrix):
+    """Yield (first message index, (T, n) codewords) over all messages in order.
+
+    Each block and its int64 temporaries hold at most ``DECODE_CHUNK_CELLS``
+    cells (or one codeword when T is larger), so memory does not grow with
+    the p^message_len codebook.
+    """
+    count = S.p**S.message_len
+    step = max(1, DECODE_CHUNK_CELLS // S.t)
+    for lo in range(0, count, step):
+        idx = np.arange(lo, min(lo + step, count))
+        yield lo, encode(S, _messages(S.p, S.message_len, idx).T)
 
 
 def min_distance(S: GeneratorMatrix, budget: int = DECODE_BUDGET) -> int:
@@ -101,9 +122,8 @@ def min_distance(S: GeneratorMatrix, budget: int = DECODE_BUDGET) -> int:
         raise ResourceLimitError(
             f"minimum-distance enumeration of {count} messages exceeds budget {budget}"
         )
-    msgs = all_messages(S.p, S.message_len)[1:]
-    words = encode(S, msgs.T)
-    return int(np.min(np.count_nonzero(words, axis=0)))
+    weights = np.concatenate([np.count_nonzero(words, axis=0) for _, words in _codeword_blocks(S)])
+    return int(np.min(weights[1:]))  # message 0 encodes to the zero word
 
 
 def p_ary_entropy(p: int, x: float) -> float:
@@ -178,8 +198,9 @@ def md_decode(S: GeneratorMatrix, received, budget: int = DECODE_BUDGET) -> Deco
     resolved to the lexicographically smallest message (first symbol most
     significant).
 
-    The codebook is encoded once per call, in the narrowest unsigned type
-    that holds p. Words are decoded in chunks: each chunk's
+    The codebook is encoded once per call, in blocks of at most
+    ``DECODE_CHUNK_CELLS`` cells, into the narrowest unsigned type that
+    holds p. Words are decoded in chunks: each chunk's
     (words, p^message_len) distance count, in the narrowest unsigned type
     that holds T, and its reused bool buffer hold at most
     ``DECODE_CHUNK_CELLS`` cells, or one word's row when a row is wider.
@@ -199,8 +220,10 @@ def md_decode(S: GeneratorMatrix, received, budget: int = DECODE_BUDGET) -> Deco
             f"{int(received.min())}..{int(received.max())}"
         )
     symbol = np.min_scalar_type(S.p)
-    msgs = all_messages(S.p, S.message_len)
-    codebook = encode(S, msgs.T).astype(symbol)  # (T, count)
+    codebook = np.empty((S.t, count), dtype=symbol)
+    for lo, words in _codeword_blocks(S):
+        codebook[:, lo:lo + words.shape[1]] = words
+    del words  # the last int64 block: free it before the distance buffers exist
     batch = received.reshape(S.t, -1).astype(symbol)
     n = batch.shape[1]
     best = np.empty(n, dtype=np.intp)
@@ -221,6 +244,7 @@ def md_decode(S: GeneratorMatrix, received, budget: int = DECODE_BUDGET) -> Deco
         best[lo:hi] = first
         ambiguous[lo:hi] = last != first  # another message is just as close
         corrections[lo:hi] = dist[np.arange(hi - lo), first]
+    message = _messages(S.p, S.message_len, best)
     if received.ndim == 1:
-        return DecodeResult(msgs[best[0]].copy(), int(corrections[0]), bool(ambiguous[0]))
-    return DecodeResult(msgs[best].T, corrections, ambiguous)
+        return DecodeResult(message[0], int(corrections[0]), bool(ambiguous[0]))
+    return DecodeResult(message.T, corrections, ambiguous)

@@ -59,14 +59,14 @@ class ChannelMatrix:
     def row(self, m: int) -> np.ndarray:
         return self.entries[m]
 
-    def is_generic(self, degree: int = 2, rel_tol: float = 1e-9) -> bool:
+    def is_generic(self, degree: int = 2) -> bool:
         """No zero entries and pairwise-distinct monomials up to ``degree``."""
         from . import diophantine
 
         if np.any(self.entries == 0.0):
             return False
         mset = diophantine.build_monomial_set(self.entries, degree)
-        return diophantine.check_unique_factorization(mset, rel_tol)
+        return diophantine.check_unique_factorization(mset.values)
 
 
 def _as_channel(H) -> np.ndarray:
@@ -89,6 +89,13 @@ def _check_vec(h, a, power) -> tuple[np.ndarray, np.ndarray]:
     return h, a.astype(float)
 
 
+def _loss(h: np.ndarray, power, a: np.ndarray) -> float:
+    """``loss_term`` on inputs that ``_check_vec`` has already validated."""
+    n2 = float(a @ a)
+    gap = float(h @ h) * n2 - float(h @ a) ** 2
+    return n2 + float(power) * gap
+
+
 def loss_term(h, power, a) -> float:
     """Rate-loss argument ||a||^2 + P(||h||^2 ||a||^2 - (h.a)^2).
 
@@ -96,15 +103,13 @@ def loss_term(h, power, a) -> float:
     collinear with h.
     """
     h, a = _check_vec(h, a, power)
-    n2 = float(a @ a)
-    gap = float(h @ h) * n2 - float(h @ a) ** 2
-    return n2 + float(power) * gap
+    return _loss(h, power, a)
 
 
 def lattice_rate_single(h, power, a) -> float:
     """Achievable lattice rate for one equation, clamped at zero bits."""
     h, a = _check_vec(h, a, power)
-    loss = loss_term(h, power, a)
+    loss = _loss(h, power, a)
     rate = 0.5 * np.log2(1.0 + float(power) * float(h @ h)) - 0.5 * np.log2(loss)
     return float(max(0.0, rate))
 
@@ -480,7 +485,7 @@ def loss_tradeoff_check(h, power, a) -> TradeoffReport:
         psi = float(np.max(np.abs(h[:-1] / hn - a[:-1] / np.sqrt(q))))
     else:
         psi = 0.0
-    loss = loss_term(h, power, a)
+    loss = _loss(h, power, a)
     bound = q + (4.0 / np.pi**2) * float(power) * hn**2 * q * psi**2
     return TradeoffReport(q, psi, loss, bound, loss >= bound * (1.0 - 1e-12))
 

@@ -56,13 +56,14 @@ class TestCanonicalSignature:
         # G_L is read off G_{L+1}; it must equal a direct build of G_L
         H = np.random.default_rng(60 + 10 * k + L).uniform(0.5, 2.0, size=(k, k))
         sig = al.canonical_signature(H, L, 5, mode="unit")
-        direct = sorted(dio.build_monomial_set(H, L).monomials, key=lambda m: m.exponents)
+        direct = dio.build_monomial_set(H, L)
+        order = np.lexsort(direct.exponents.T[::-1])
         for tx in sig.transmitters:
             assert [sub.index for sub in tx] == list(range(len(direct)))
-            assert [sub.exponents for sub in tx] == [m.exponents for m in direct]
+            assert [sub.exponents for sub in tx] == [tuple(e) for e in direct.exponents[order].tolist()]
+            assert all(type(e) is int for sub in tx[:5] for e in sub.exponents)
             got = np.array([sub.value for sub in tx]).view(np.uint64)
-            want = np.array([m.value for m in direct]).view(np.uint64)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, direct.values[order].view(np.uint64))
 
 
 class TestExampleSignature:
@@ -92,6 +93,17 @@ class TestExampleSignature:
         with pytest.raises(NonGenericChannelError):
             al.example_signature(np.array([[1.0, 0.9], [0.9, 1.0]]), p=5)
 
+    def test_negative_gain_collision_rejected(self):
+        # h1 = -1 makes h1^2 = h1^0; an ordering by magnitude interleaves the signs
+        with pytest.raises(NonGenericChannelError):
+            al.example_signature(np.array([[1.0, 0.7], [-1.0, 1.0]]), p=5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gains_rejected(self, bad):
+        for H in ([[1.0, bad], [0.5, 1.0]], [[1.0, 0.5], [bad, 1.0]]):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                al.example_signature(np.array(H), p=5)
+
     def test_requires_unit_diagonal(self):
         with pytest.raises(InvalidArgumentError):
             al.example_signature(H_GENERIC, p=5)
@@ -115,6 +127,14 @@ class TestEquationSystem:
             total_pairs = sum(len(g.contributors) for g in eq.receivers[m])
             assert total_pairs == 32  # every submessage heard exactly once
             assert all(len(g.contributors) <= 2 for g in eq.receivers[m])
+
+    def test_colliding_receive_values_rejected(self):
+        # evaluated at a channel other than the signature's, receiver 0 hears
+        # h1^2 h2 / h1 on one group and h1 h2 on another
+        sig = al.example_signature(H_EXAMPLE, p=5)
+        H = np.array([[1.0, 1.0 / 1.3], [1.3, 1.0]])
+        with pytest.raises(NonGenericChannelError, match="receiver 0"):
+            al.derive_equation_system(sig, H)
 
     def test_alignment_occurs_at_l2(self):
         # some group must fuse two transmitters, otherwise nothing aligned

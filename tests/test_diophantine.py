@@ -11,8 +11,8 @@ class TestMonomialSet:
     def test_l1_singleton(self):
         mset = dio.build_monomial_set(np.array([[1.3, 0.7], [0.9, 1.8]]), 1)
         assert len(mset) == 1
-        assert mset.monomials[0].value == 1.0
-        assert mset.monomials[0].exponents == (0, 0, 0, 0)
+        assert mset.values.tolist() == [1.0]
+        assert mset.exponents.tolist() == [[0, 0, 0, 0]]
 
     def test_cardinality_l2(self):
         mset = dio.build_monomial_set(np.array([[1.3, 0.7], [0.9, 1.8]]), 2)
@@ -23,21 +23,19 @@ class TestMonomialSet:
         H = rng.uniform(0.5, 2.0, size=(2, 2))
         mset = dio.build_monomial_set(H, 3)
         assert len(mset) == 81
-        vals = mset.values()
-        assert np.all(np.diff(vals) > 0)
+        assert np.all(np.diff(mset.values) > 0)
 
     def test_values_match_extended_precision(self):
         rng = np.random.default_rng(1)
         H = rng.uniform(0.5, 2.0, size=(2, 2))
         mset = dio.build_monomial_set(H, 3)
-        for mono in mset.monomials[::7]:
-            direct = float(np.prod(np.longdouble(H.reshape(-1)) ** np.array(mono.exponents)))
-            assert mono.value == pytest.approx(direct, rel=1e-12)
+        for exps, value in zip(mset.exponents[::7], mset.values[::7]):
+            direct = float(np.prod(np.longdouble(H.reshape(-1)) ** exps))
+            assert value == pytest.approx(direct, rel=1e-12)
 
     def test_sorted_by_value(self):
         mset = dio.build_monomial_set(np.array([[0.6, 1.4], [1.1, 0.8]]), 2)
-        vals = mset.values()
-        assert np.all(np.diff(vals) >= 0)
+        assert np.all(np.diff(mset.values) >= 0)
 
     def test_overflow_names_exponents(self):
         H = np.full((2, 2), 1e300)
@@ -50,7 +48,11 @@ class TestMonomialSet:
 
 
 def loop_monomial_set(H, L):
-    """Reference: one ``evaluate_monomial`` call per monomial, then a key sort."""
+    """Reference: one ``evaluate_monomial`` call per monomial, then a (value, exponents) sort.
+
+    Returns the exponents as an (n, K^2) int64 array and the values as an
+    (n,) float64 array, in that order.
+    """
     gains = np.asarray(H, dtype=float).reshape(-1)
     n = gains.size
     monomials = []
@@ -61,9 +63,17 @@ def loop_monomial_set(H, L):
             exps.append(c % L)
             c //= L
         exps = tuple(exps)
-        monomials.append(dio.Monomial(exps, dio.evaluate_monomial(gains, exps)))
-    monomials.sort(key=lambda m: (m.value, m.exponents))
-    return monomials
+        monomials.append((dio.evaluate_monomial(gains, exps), exps))
+    monomials.sort()
+    exponents = np.array([e for _, e in monomials], dtype=np.int64).reshape(-1, n)
+    return exponents, np.array([v for v, _ in monomials])
+
+
+def assert_same_set(got, want_exponents, want_values):
+    assert got.exponents.dtype == np.int64 and got.values.dtype == np.float64
+    assert got.exponents.shape == want_exponents.shape
+    assert np.array_equal(got.exponents, want_exponents)
+    assert np.array_equal(got.values.view(np.uint64), want_values.view(np.uint64))
 
 
 class TestMonomialSetAgainstLoop:
@@ -71,19 +81,13 @@ class TestMonomialSetAgainstLoop:
     def test_bit_identical_exponents_values_and_order(self, k, L):
         rng = np.random.default_rng(100 + 10 * k + L)
         for H in (rng.uniform(0.5, 2.0, size=(k, k)), rng.uniform(-2.0, 2.0, size=(k, k))):
-            got = dio.build_monomial_set(H, L).monomials
-            want = loop_monomial_set(H, L)
-            assert [m.exponents for m in got] == [m.exponents for m in want]
-            got_bits = np.array([m.value for m in got]).view(np.uint64)
-            want_bits = np.array([m.value for m in want]).view(np.uint64)
-            assert np.array_equal(got_bits, want_bits)
-            assert all(type(e) is int for m in got[:5] for e in m.exponents)
+            assert_same_set(dio.build_monomial_set(H, L), *loop_monomial_set(H, L))
 
     def test_ties_break_on_exponents(self):
         # every monomial of an all-ones channel is 1.0: the order is the exponent order
-        got = dio.build_monomial_set(np.ones((2, 2)), 3).monomials
-        assert got == loop_monomial_set(np.ones((2, 2)), 3)
-        assert [m.exponents for m in got] == sorted(m.exponents for m in got)
+        got = dio.build_monomial_set(np.ones((2, 2)), 3)
+        assert_same_set(got, *loop_monomial_set(np.ones((2, 2)), 3))
+        assert got.exponents.tolist() == sorted(got.exponents.tolist())
 
     @pytest.mark.parametrize("H", [
         np.full((2, 2), 1e300),
@@ -103,11 +107,19 @@ class TestUniqueFactorization:
     def test_duplicate_gain_collides(self):
         H = np.array([[1.4, 1.4], [0.7, 1.9]])
         mset = dio.build_monomial_set(H, 2)
-        assert not dio.check_unique_factorization(mset)
+        assert not dio.check_unique_factorization(mset.values)
 
     def test_all_ones_collides(self):
         mset = dio.build_monomial_set(np.ones((2, 2)), 2)
-        assert not dio.check_unique_factorization(mset)
+        assert not dio.check_unique_factorization(mset.values)
+
+    def test_unsorted_signed_and_non_finite_values(self):
+        # the rule sorts by value, not by magnitude: -1 and 1 do not hide 1 == 1
+        assert not dio.check_unique_factorization([1.0, -1.0, 0.7, 1.0])
+        assert dio.check_unique_factorization([1.0, -1.0, 0.7, -0.7])
+        assert dio.check_unique_factorization([])
+        assert not dio.check_unique_factorization([0.5, np.nan])
+        assert not dio.check_unique_factorization([0.5, np.inf])
 
     def test_random_channels_generic(self):
         rng = np.random.default_rng(2)
@@ -115,7 +127,7 @@ class TestUniqueFactorization:
         for _ in range(100):
             H = rng.uniform(0.5, 2.0, size=(2, 2))
             mset = dio.build_monomial_set(H, 2)
-            ok += dio.check_unique_factorization(mset)
+            ok += dio.check_unique_factorization(mset.values)
         assert ok >= 99
 
 
@@ -218,6 +230,19 @@ class TestSeparationProbe:
         rows = dio.separation_scaling_probe(H, 1, [2])
         assert not rows[0].generic
         assert rows[0].separation == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_receive_values_are_g_l_bit_for_bit(self, L):
+        # G_L is read off G_{L+1}; the separation must be that of a direct G_L build
+        H = np.array([[1.37]])
+        recv = np.sort(H[0, 0] * dio.build_monomial_set(H, L).values)
+        for row in dio.separation_scaling_probe(H, L, [3, 5]):
+            assert row.separation == dio.monomial_separation(recv, row.p - 1, integer_shift=False)
+
+    def test_rejects_degree_below_one(self):
+        for L in (0, -1):
+            with pytest.raises(InvalidArgumentError, match="degree bound L must be >= 1"):
+                dio.separation_scaling_probe(np.array([[1.37, 0.6], [0.9, 1.2]]), L, [2])
 
     def test_single_monomial_minimum(self):
         g = 1.37

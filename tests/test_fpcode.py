@@ -74,6 +74,11 @@ class TestFieldOps:
 
 
 class TestEncode:
+    def test_all_messages_first_symbol_most_significant(self):
+        msgs = fpcode.all_messages(3, 2)
+        assert msgs.dtype == np.int64
+        assert msgs.tolist() == [[a, b] for a in range(3) for b in range(3)]
+
     def test_zero_message(self):
         assert not fpcode.encode(HAMMING74, np.zeros(4, dtype=int)).any()
 
@@ -321,6 +326,9 @@ class TestMdDecodeAgainstLoop:
         batch = np.concatenate([batch, batch[:, :1]], axis=1)
         assert batch.shape[1] == 601
         assert_same_decode(fpcode.md_decode(S, batch), loop_md_decode(S, batch))
+        # the codebook is encoded in blocks of the same cell bound
+        words = fpcode.encode(S, fpcode.all_messages(S.p, S.message_len)[1:].T)
+        assert fpcode.min_distance(S) == int(np.min(np.count_nonzero(words, axis=0)))
 
     def test_empty_batch(self):
         res = fpcode.md_decode(HAMMING74, np.zeros((7, 0), dtype=int))
@@ -338,6 +346,19 @@ class TestMdDecodeAgainstLoop:
             tracemalloc.stop()
         # the unchunked (14641, 3000) count plus its bool temporary is ~86 MiB
         assert peak < 16 * 2**20, peak
+
+    def test_codebook_encode_memory_bounded(self):
+        # 2^18 messages: an unblocked int64 encode holds (40, 2^18) int64 tables (~200 MiB)
+        S = fpcode.GeneratorMatrix(2, np.random.default_rng(0).integers(0, 2, size=(40, 18)))
+        word = np.random.default_rng(1).integers(0, 2, size=40)
+        for call in (lambda: fpcode.md_decode(S, word), lambda: fpcode.min_distance(S)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 48 * 2**20, peak
 
 
 class TestReceivedSymbolRange:
