@@ -283,15 +283,20 @@ def separation_scaling_probe(
     # G_L: the G_{L+1} monomials with no exponent equal to L (same values, bit for bit)
     small = big.values[(big.exponents < L).all(axis=1)]
     k = big.k
+    # keep duplicates: coinciding receive values are a real collision
+    recv = [np.sort(np.outer(H[m], small).ravel()) for m in range(k)]
     rows = []
     for p in p_list:
         p = int(p)
-        sep = np.inf
-        for m in range(k):
-            # keep duplicates: coinciding receive values are a real collision
-            recv = np.sort(np.outer(H[m], small).ravel())
-            sep = min(sep, monomial_separation(recv, k * (p - 1), integer_shift=False, budget=budget))
         log2_b = len(big) * math.log2(k * p)
+        # a unit coefficient bounds the separation by the smallest |receive value|
+        smallest = float(np.abs(H).min() * np.abs(small).min())
+        log2_max = log2_b + (math.log2(smallest) if smallest else -math.inf) - 0.5 * math.log2(p)
+        if log2_max >= np.finfo(float).maxexp:
+            raise NumericRangeError(f"log2 of the separation ratio at p={p} may reach "
+                                    f"{log2_max:.1f}, past the float range")
+        sep = min(monomial_separation(r, k * (p - 1), integer_shift=False, budget=budget)
+                  for r in recv)
         if sep > 0.0:
             ratio = 2.0 ** (log2_b + math.log2(sep) - 0.5 * math.log2(p))
         else:

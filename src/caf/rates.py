@@ -9,16 +9,18 @@ decoding the integer equation ``a`` over channel row ``h`` at power ``P``:
 clamped at zero. All logarithms here are base 2 and powers are linear
 (``P = 10^(dB/10)``).
 
-Coefficient optimization is exact: the search space is the integer ball
-``1 <= ||a||^2 <= ceil(||h||^2 P)``, enumerated either exhaustively (any K,
-budget-limited) or, for K = 2, through a per-coordinate reduction that
-visits every candidate able to enter the requested top-n ranking. Both
-paths score candidates with the same loss expression, so they agree bit
-for bit.
+Coefficient optimization is exact over the integer ball
+``1 <= ||a||^2 <= ceil(||h||^2 P)``. The loss is the positive-definite form
+``a^T (I + P(||h||^2 I - h h^T)) a``, so the best equations are its shortest
+vectors: for any K the search LLL-reduces the form and enumerates it
+(Schnorr-Euchner). Candidates are ranked by the same loss expression as the
+exhaustive oracle, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +29,12 @@ from .errors import InvalidArgumentError, NumericRangeError, ResourceLimitError
 
 DB_LOG_BASE = 10.0
 
-# default ceiling on the number of enumerated lattice points in exhaustive mode
+# default ceiling on the lattice points a coefficient search visits
 DEFAULT_SEARCH_BUDGET = 1 << 24
+
+# relative widening of the enumeration radius in units of K eps (1 + P ||h||^2),
+# about 2^10 times the largest float error of the form's values in the tests
+_RADIUS_SLACK = 2.0**10
 
 # default number of per-receiver candidates combined in the sum-rate search
 DEFAULT_TOP_N = 16
@@ -114,13 +120,6 @@ def lattice_rate_single(h, power, a) -> float:
     return float(max(0.0, rate))
 
 
-def _canonical_sign(a: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(a)[0]
-    if nz.size and a[nz[0]] < 0:
-        return -a
-    return a
-
-
 def _loss_values(h: np.ndarray, power: float, A: np.ndarray) -> np.ndarray:
     """Vectorized canonical loss for candidate rows of A."""
     n2 = np.einsum("ij,ij->i", A, A)
@@ -144,7 +143,7 @@ def _enumerate_ball(h: np.ndarray, power: float, budget: int) -> np.ndarray:
     if count > budget:
         raise ResourceLimitError(
             f"exhaustive coefficient search needs {count:.3g} points for "
-            f"||a||^2 <= {bound:.6g} (budget {budget}); use reduced mode (K=2) "
+            f"||a||^2 <= {bound:.6g} (budget {budget}); use the default search "
             "or lower the power"
         )
     axes = [np.arange(-amax, amax + 1)] * k
@@ -156,88 +155,88 @@ def _enumerate_ball(h: np.ndarray, power: float, budget: int) -> np.ndarray:
     return grid[first > 0]
 
 
-def _reduced_candidates_k2(h: np.ndarray, power: float, n: int) -> np.ndarray:
-    """Candidate pool provably containing the n best vectors for K = 2.
+def _lll(h: np.ndarray, power: float, hn2: float) -> tuple[list, list, list]:
+    """LLL-reduced basis of Z^K under the loss form, and the form on it as mu diag(r) mu^T.
 
-    For fixed a1 the canonical loss is a strictly convex quadratic in a2,
-    so its integer minimizer sits next to the real vertex and the loss
-    grows monotonically outward. Walking a2 away from the vertex while
-    the loss stays within the running n-th-best bound therefore collects
-    every vector that can enter the top n; a1 values are visited in order
-    of their per-a1 minimum so the scan stops as soon as no a1 can
-    compete. All losses are the same canonical expression the exhaustive
-    path evaluates, so rankings agree exactly.
+    Gram entries keep the loss's arrangement n + P(||h||^2 n - (h.b_u)(h.b_v)),
+    n = b_u.b_v exact, so a short vector's norm is no difference of two numbers near P ||h||^2.
     """
-    h1, h2 = float(h[0]), float(h[1])
-    if h1 == 0.0:
-        if h2 == 0.0:
-            raise InvalidArgumentError("channel row must be nonzero")
-        # roles swap: a2 is the driving coordinate
-        sw = _reduced_candidates_k2(h[::-1], power, n)
-        return _canonicalize_rows(sw[:, ::-1])
-    bound = _search_bound(h, power)
-    hn2 = float(h @ h)  # same accumulated value the bulk scorer uses
-    amax = int(np.floor(np.sqrt(bound)))
-    a1 = np.arange(0, amax + 1, dtype=float)
-    s = np.floor(np.sqrt(np.maximum(bound - a1 * a1, 0.0)))
-    vertex = power * h1 * h2 * a1 / (1.0 + power * h1 * h1)
-
-    def loss_pair(aa1, a2):
-        n2 = aa1 * aa1 + a2 * a2
-        dot = aa1 * h1 + a2 * h2
-        return n2 + power * (hn2 * n2 - dot * dot)
-
-    # integer argmin per a1 (floor or ceil of the vertex, clipped): the
-    # loss grows monotonically on both sides of it, so outward walks can
-    # stop at the first candidate past the bound
-    floor_c = np.clip(np.floor(vertex), -s, s)
-    ceil_c = np.clip(np.floor(vertex) + 1.0, -s, s)
-    best_per = np.full(a1.size, np.inf)
-    center = floor_c.copy()
-    for a2 in (floor_c, ceil_c):
-        n2 = a1 * a1 + a2 * a2
-        dot = a1 * h1 + a2 * h2
-        loss = n2 + power * (hn2 * n2 - dot * dot)
-        ok = (n2 >= 1.0) & (n2 <= bound)
-        loss = np.where(ok, loss, np.inf)
-        center = np.where(loss < best_per, a2, center)
-        best_per = np.minimum(best_per, loss)
-    order = np.argsort(best_per, kind="stable")
-    rows = []
-    kept = []  # losses of collected candidates, for the running bound
-
-    def nth_bound():
-        if len(kept) < n:
-            return np.inf
-        return float(np.partition(np.array(kept), n - 1)[n - 1])
-
-    for i in order:
-        cut = nth_bound()
-        if best_per[i] > cut:
-            break
-        aa1 = a1[i]
-        lo, hi = -s[i], s[i]
-        if aa1 == 0.0:
-            lo = 1.0  # a2 < 0 would duplicate the canonical (0, |a2|) vector
-        for direction in (1, -1):
-            a2 = center[i] if direction == 1 else center[i] - 1.0
-            while lo <= a2 <= hi:
-                if aa1 != 0.0 or a2 != 0.0:
-                    loss = loss_pair(aa1, a2)
-                    if loss > nth_bound():
-                        break
-                    rows.append((aa1, a2))
-                    kept.append(loss)
-                a2 += direction
-    if not rows:
-        raise InvalidArgumentError("empty search region")
-    return _canonicalize_rows(np.array(rows, dtype=float))
+    k = h.size
+    basis = np.eye(k)  # integer rows, exact in float
+    i = 1
+    while True:
+        inner, dots = basis @ basis.T, basis @ h
+        try:
+            L = np.linalg.cholesky(inner + power * (hn2 * inner - np.outer(dots, dots)))
+        except np.linalg.LinAlgError as exc:
+            raise NumericRangeError(f"Cholesky of the loss form failed: {exc}") from exc
+        mu, r = (L / np.diag(L)).tolist(), (np.diag(L) ** 2).tolist()
+        if i == k:
+            return basis.astype(int).tolist(), mu, r
+        for j in range(i - 1, -1, -1):
+            q = round(mu[i][j])
+            basis[i] -= q * basis[j]
+            mu[i] = [x - q * y for x, y in zip(mu[i], mu[j])]
+        if r[i] >= (0.99 - mu[i][i - 1] ** 2) * r[i - 1]:  # Lovasz condition
+            i += 1
+        else:
+            basis[[i - 1, i]] = basis[[i, i - 1]]
+            i = max(i - 1, 1)
 
 
-def _canonicalize_rows(A: np.ndarray) -> np.ndarray:
-    first = A[np.arange(len(A)), np.argmax(A != 0, axis=1)]
-    A = np.where((first < 0)[:, None], -A, A)
-    return np.unique(A, axis=0)
+def _enumerate(h: np.ndarray, power: float, n: int, budget: int) -> np.ndarray:
+    """Sign-canonical in-ball vectors, among them all that can rank in the top n.
+
+    Schnorr-Euchner enumeration of the LLL-reduced loss form over half of
+    Z^K (the last nonzero z_i positive), so each +-pair is visited once.
+    The radius starts at the n-th best seed, a combination of basis vectors
+    with coefficients in a small box, and shrinks to the n-th best value
+    found. Each radius is widened by ``slack``, which covers the float
+    error of the enumerated values and of ``_loss_values``.
+    """
+    k, hn2, bound = h.size, float(h @ h), _search_bound(h, power)
+    slack = 1.0 + _RADIUS_SLACK * k * np.finfo(float).eps * (1.0 + power * hn2)
+    if not slack < 2.0:
+        raise NumericRangeError(f"P ||h||^2 = {power * hn2:.3g} is past double precision")
+    basis, mu, r = _lll(h, power, hn2)
+    w = next(w for w in itertools.count(1) if (2 * w + 1) ** k // 2 >= n)
+    Z = np.indices((2 * w + 1,) * k).reshape(k, -1).T[(2 * w + 1) ** k // 2 + 1:] - w
+    A = Z @ np.array(basis, dtype=float)
+    seeds = np.sort(_loss_values(h, power, A[np.einsum("ij,ij->i", A, A) <= bound]))
+    # too few seeds in the ball: every in-ball a has q(a) <= (1 + P ||h||^2) ||a||^2
+    radius = slack * (float(seeds[n - 1]) if seeds.size >= n else (1.0 + power * hn2) * bound)
+    z, pool, heap, leaves = [0] * k, [], [], 0  # heap: the n smallest values, negated
+
+    def visit(i, partial):
+        nonlocal radius, leaves
+        c = -sum(mu[j][i] * z[j] for j in range(i + 1, k))
+        half = not any(z[i + 1:])  # then c == 0, and z_i >= 0 keeps one of each +-pair
+        z0 = int(i == 0) if half else round(c)
+        s = 1 if c >= z0 else -1
+        # zigzag outward from c: past the radius, every later z_i is too
+        for step in itertools.count():
+            z[i] = z0 + step if half else z0 + s * ((step + 1) // 2) * (1 if step % 2 else -1)
+            t = z[i] - c
+            value = partial + r[i] * (t * t)
+            if value > radius:
+                break
+            if i:
+                visit(i - 1, value)
+                continue
+            leaves += 1
+            if leaves > budget:
+                raise ResourceLimitError(f"coefficient enumeration visited more than {budget} "
+                                         f"leaves for ||a||^2 <= {bound:.6g}")
+            a = [sum(zj * b[col] for zj, b in zip(z, basis)) for col in range(k)]
+            if sum(x * x for x in a) <= bound:
+                pool.append(a if next(x for x in a if x) > 0 else [-x for x in a])
+                (heapq.heappush if len(heap) < n else heapq.heappushpop)(heap, -value)
+                if len(heap) == n:
+                    radius = min(radius, -heap[0] * slack)
+        z[i] = 0
+
+    visit(k - 1, 0.0)
+    return np.array(pool, dtype=float)
 
 
 def _ranked_candidates(h, power, mode, budget, n) -> np.ndarray:
@@ -247,11 +246,7 @@ def _ranked_candidates(h, power, mode, budget, n) -> np.ndarray:
     if power <= 0 or not np.isfinite(power):
         raise InvalidArgumentError("power must be positive and finite")
     if mode == "auto":
-        mode = "reduced" if h.size == 2 else "exhaustive"
-    if mode == "reduced":
-        if h.size != 2:
-            raise InvalidArgumentError("reduced search mode is K=2 only")
-        A = _reduced_candidates_k2(h, power, n)
+        A = _enumerate(h, float(power), n, budget)
     elif mode == "exhaustive":
         A = _enumerate_ball(h, power, budget)
     else:
@@ -268,9 +263,9 @@ def best_coefficient_vector(
     """Argmax of the single-equation rate over the integer ball.
 
     Ties are broken by smallest squared norm, then lexicographic order;
-    the result has its first nonzero entry positive. ``mode`` is one of
-    ``auto`` (reduced for K=2, exhaustive otherwise), ``exhaustive``
-    (raises ResourceLimitError past the budget) or ``reduced``.
+    the result has its first nonzero entry positive. ``mode`` is ``auto``
+    (lattice reduction and enumeration, any K) or ``exhaustive`` (the whole
+    ball, the test oracle); both raise ResourceLimitError past ``budget``.
 
     Returns ``(a, rate_bits)``.
     """

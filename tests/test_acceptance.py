@@ -11,9 +11,10 @@ states:
 - 1b-1d: the Figure 2 sweep of the paper (normalized rate of h = (1, h2)):
   the mean falls as SNR grows and a typical generic h2 sits below 0.6 at
   50 dB.
-- 2a-2e: the degrees of freedom in PAPER.md: the lattice scheme reaches
+- 2a-2g: the degrees of freedom in PAPER.md: the lattice scheme reaches
   the full K at rational H but at most 2/(1+1/K) for almost every real
-  H; cooperative MIMO reaches K and time sharing 1.
+  H; cooperative MIMO reaches K and time sharing 1. 2a-2e are at K=2,
+  2f-2g repeat the lattice gates at K=3.
 - 3: the loss floor and trade-off inequality of ``rates.loss_term`` and
   ``rates.loss_tradeoff_check``.
 - 4-6: the signal-alignment pipeline: noiseless recovery, the tail
@@ -160,18 +161,23 @@ def _slope_of(fn) -> float:
     return rates.dof_slope(ys, DOF_DBS)
 
 
-@pytest.fixture(scope="module")
-def dof_tables():
-    t0 = time.time()
+def _dof_channels(k: int):
+    """Five nonsingular integer and five uniform(0.5, 2) real k x k channels."""
     rng = child_rng(SEED, 2)
     rational = []
     while len(rational) < 5:
-        H = rng.integers(-5, 6, size=(DOF_K, DOF_K)).astype(float)
+        H = rng.integers(-5, 6, size=(k, k)).astype(float)
         if abs(np.linalg.det(H)) < 0.5 or np.any(np.all(H == 0.0, axis=1)):
             continue
         rational.append(H)
     rng = child_rng(SEED, 3)
-    real = [rng.uniform(0.5, 2.0, size=(DOF_K, DOF_K)) for _ in range(5)]
+    return rational, [rng.uniform(0.5, 2.0, size=(k, k)) for _ in range(5)]
+
+
+@pytest.fixture(scope="module")
+def dof_tables():
+    t0 = time.time()
+    rational, real = _dof_channels(DOF_K)
     slopes = {"rational": [], "real": [], "mimo": [], "ts": []}
     for H in rational:
         slopes["rational"].append(_slope_of(lambda P: rates.lattice_sum_rate(H, P).rate_bits))
@@ -224,6 +230,32 @@ def test_criterion_2_time_sharing_slope(dof_tables):
 def test_criterion_2_runtime(dof_tables):
     _, elapsed = dof_tables
     gate("2e DoF runtime <= 15 min", elapsed <= 900.0, f"{elapsed:.1f} s")
+
+
+# the same tables at K=3, which the enumeration search brings within reach
+DOF_K3 = 3
+
+
+@pytest.fixture(scope="module")
+def dof_tables_k3():
+    rational, real = _dof_channels(DOF_K3)
+    return {kind: [_slope_of(lambda P: rates.lattice_sum_rate(H, P).rate_bits) for H in chans]
+            for kind, chans in (("rational", rational), ("real", real))}
+
+
+def test_criterion_2_k3_rational_lattice_slope(dof_tables_k3):
+    vals = dof_tables_k3["rational"]
+    ok = all(DOF_K3 - 0.2 <= s <= DOF_K3 + 0.2 for s in vals)
+    gate("2f K=3 rational-H lattice slope in [K-0.2, K+0.2]", ok,
+         "slopes " + ", ".join(f"{s:.3f}" for s in vals))
+
+
+def test_criterion_2_k3_real_lattice_slope(dof_tables_k3):
+    vals = dof_tables_k3["real"]
+    bound = 2.0 / (1.0 + 1.0 / DOF_K3)
+    mean = float(np.mean(vals))
+    gate(f"2g K=3 mean real-H lattice slope <= 2/(1+1/K) = {bound:.4f}", mean <= bound,
+         f"mean {mean:.3f}; slopes " + ", ".join(f"{s:.3f}" for s in vals))
 
 
 # ------------------------------------------------------------ criterion 3

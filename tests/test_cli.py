@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from caf import cli
-from caf.errors import InvalidArgumentError
+from caf.errors import InvalidArgumentError, NumericRangeError
 
 
 def run(tmp_path, *argv):
@@ -99,6 +101,17 @@ class TestDof:
         assert len(slopes) == 2 * 4  # 2 channels x 4 curves
         points = [l for l in lines if ",rate," in l]
         assert len(points) == 2 * 4 * 3
+
+    def test_k3_default_grid_completes(self, tmp_path):
+        # the whole-ball search exceeded its budget at 40 dB, the grid's first point
+        out = run(tmp_path, "dof", "--k", "3")
+        rows = list(csv.DictReader(io.StringIO((out / "dof.csv").read_text())))
+        lattice = {(r["h_id"], r["snr_db"]): float(r["value"]) for r in rows
+                   if r["curve"] == "lattice" and r["record"] == "rate"}
+        mimo = {(r["h_id"], r["snr_db"]): float(r["value"]) for r in rows
+                if r["curve"] == "mimo" and r["record"] == "rate"}
+        assert len(lattice) == 10 * 9  # 5 rational + 5 real channels, 40-80 dB
+        assert all(0.0 < lattice[key] <= mimo[key] for key in lattice)
 
 
 class TestAlign:
@@ -284,6 +297,11 @@ class TestDioph:
         assert len(ratios) == 2
         for l in ratios:
             assert float(l.split(",")[value_col]) > 0
+
+    def test_k3_ratio_past_float_range_is_typed(self, tmp_path):
+        with pytest.raises(NumericRangeError, match="log2 of the separation ratio"):
+            cli.main(["dioph", "--k", "3", "--l", "1", "--p", "2", "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o" / "dioph.csv").exists()
 
 
 class TestWorkers:

@@ -239,6 +239,16 @@ class TestSeparationProbe:
         for row in dio.separation_scaling_probe(H, L, [3, 5]):
             assert row.separation == dio.monomial_separation(recv, row.p - 1, integer_shift=False)
 
+    def test_ratio_past_float_range_raises_before_the_search(self, monkeypatch):
+        # K=3, L=1, p=2: log2 B = 512 log2 6 ~ 1323, and the ratio may reach 2^1323
+        def no_search(*args, **kwargs):
+            raise AssertionError("separation searched")
+
+        monkeypatch.setattr(dio, "monomial_separation", no_search)
+        H = np.random.default_rng(8).uniform(0.5, 2.0, size=(3, 3))
+        with pytest.raises(NumericRangeError, match=r"at p=2 may reach 13\d\d\.\d"):
+            dio.separation_scaling_probe(H, 1, [2])
+
     def test_rejects_degree_below_one(self):
         for L in (0, -1):
             with pytest.raises(InvalidArgumentError, match="degree bound L must be >= 1"):

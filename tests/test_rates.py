@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -137,7 +138,7 @@ class TestBestCoefficientVector:
             if abs(h).max() < 1e-3:
                 continue
             P = float(10 ** rng.uniform(0.5, 3.5))
-            ar, rr = rates.best_coefficient_vector(h, P, mode="reduced")
+            ar, rr = rates.best_coefficient_vector(h, P)
             ae, re = rates.best_coefficient_vector(h, P, mode="exhaustive")
             assert list(ar) == list(ae)
             assert rr == re
@@ -161,7 +162,7 @@ class TestBestCoefficientVector:
         for _ in range(10):
             h = rng.uniform(0.3, 2.0, size=2)
             P = float(10 ** rng.uniform(1, 3))
-            top_r = rates.top_coefficient_vectors(h, P, 8, mode="reduced")
+            top_r = rates.top_coefficient_vectors(h, P, 8)
             top_e = rates.top_coefficient_vectors(h, P, 8, mode="exhaustive")
             assert [list(a) for a in top_r] == [list(a) for a in top_e]
 
@@ -439,7 +440,7 @@ class TestChannelMatrix:
 
 
 class TestReducedSearchStress:
-    """Reduced-mode search must mirror exhaustive exactly, argmax and ranking."""
+    """The LLL-reduced default search mirrors exhaustive exactly, argmax and ranking."""
 
     def test_high_power_argmax_and_topn(self):
         rng = np.random.default_rng(99)
@@ -449,19 +450,117 @@ class TestReducedSearchStress:
             if np.abs(h).max() < 0.05:
                 continue
             P = min(float(2**23) / (np.pi * float(h @ h)) / 4, 10 ** rng.uniform(3.0, 5.0))
-            ar, rr = rates.best_coefficient_vector(h, P, mode="reduced")
+            ar, rr = rates.best_coefficient_vector(h, P)
             ae, re = rates.best_coefficient_vector(h, P, mode="exhaustive", budget=1 << 24)
             assert list(ar) == list(ae) and rr == re
             n = int(rng.integers(1, 20))
-            tr = rates.top_coefficient_vectors(h, P, n, mode="reduced")
+            tr = rates.top_coefficient_vectors(h, P, n)
             te = rates.top_coefficient_vectors(h, P, n, mode="exhaustive", budget=1 << 24)
             assert [list(a) for a in tr] == [list(a) for a in te]
             checked += 1
 
     def test_tiny_leading_gain(self):
-        # shallow quadratic in a2: the adaptive walk must still rank exactly
+        # shallow quadratic in a2: the enumeration must still rank exactly
         h = np.array([0.0241227, 0.26036653])
         for P in (4.7e4, 1.46e5):
-            tr = rates.top_coefficient_vectors(h, P, 16, mode="reduced")
+            tr = rates.top_coefficient_vectors(h, P, 16)
             te = rates.top_coefficient_vectors(h, P, 16, mode="exhaustive", budget=1 << 25)
             assert [list(a) for a in tr] == [list(a) for a in te]
+
+
+def strip_oracle(h2, power, n):
+    """Top-n for h = (1, h2): every a1 in the ball, a2 within +-5 of the real
+    vertex of the loss at that a1, ranked like the search.
+
+    For fixed a1 the loss is a convex quadratic in a2, so the strip holds the
+    top 5 unless one of them sits on the edge of the ball.
+    """
+    h = np.array([1.0, h2])
+    bound = np.ceil(float(h @ h) * power)
+    a1 = np.arange(0.0, np.floor(np.sqrt(bound)) + 1.0)
+    vertex = np.round(power * h2 * a1 / (1.0 + power))
+    A = np.stack([np.repeat(a1, 11), (vertex[:, None] + np.arange(-5.0, 6.0)).ravel()], axis=1)
+    n2 = np.einsum("ij,ij->i", A, A)
+    A = A[(n2 >= 1) & (n2 <= bound) & ((A[:, 0] > 0) | (A[:, 1] > 0))]
+    n2 = np.einsum("ij,ij->i", A, A)
+    order = np.lexsort((A[:, 1], A[:, 0], n2, rates._loss_values(h, power, A)))
+    return [list(a) for a in A[order[:n]].astype(int)]
+
+
+class TestEnumeration:
+    """The default search against its oracles, at every K and SNR it can reach."""
+
+    @pytest.mark.parametrize("h", [
+        [1.0], [0.7],
+        [1.0, 1.0], [1.0, 0.0], [1.0, 0.5],
+        [1.0, 1.0, 1.0], [1.0, 2.0, 1.0], [2.0, -1.0, 1.0], [1.0, 0.5, 0.0], [0.8, 1.3, 1.9],
+        [1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 0.5, 0.0], [0.6, 1.1, 1.7, 0.9],
+    ], ids=lambda h: "h=" + "_".join(f"{x:g}" for x in h))
+    @pytest.mark.parametrize("db", [0.0, 5.0, 10.0, 15.0])
+    def test_top_n_matches_exhaustive_with_ties(self, h, db):
+        # integer and collinear rows tie many vectors at equal loss and norm
+        P = float(rates.db_to_linear(db))
+        for n in (1, 16, 40):
+            got = rates.top_coefficient_vectors(h, P, n)
+            want = rates.top_coefficient_vectors(h, P, n, mode="exhaustive")
+            assert [list(a) for a in got] == [list(a) for a in want]
+
+    @pytest.mark.parametrize("db", [60.0, 70.0, 80.0])
+    def test_high_snr_matches_strip_oracle(self, db):
+        # the whole ball is out of the exhaustive budget here
+        P = float(rates.db_to_linear(db))
+        h2s = list(np.linspace(0.0, 1.0, 1000)[::25]) + [0.5, 1.0 / 3.0, (math.sqrt(5.0) - 1.0) / 2.0]
+        for h2 in h2s:
+            got = rates.top_coefficient_vectors([1.0, h2], P, 5)
+            assert [list(a) for a in got] == strip_oracle(h2, P, 5)
+
+    def test_float_error_within_radius_slack(self):
+        # the enumerated values and _loss_values both stay far inside the slack
+        # (worst measured here: 0.84 units of K eps (1 + P ||h||^2))
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        for trial in range(300):
+            k = int(rng.integers(2, 5))
+            h = rng.uniform(-2.0, 2.0, size=k) if trial % 2 else rng.uniform(0.5, 2.0, size=k)
+            P = float(10 ** rng.uniform(0.0, 11.0 if k == 2 else 9.0))
+            hn2 = float(h @ h)
+            basis, mu, r = rates._lll(h, P, hn2)
+            Z = [z for z in itertools.product(range(-1, 2), repeat=k) if any(z)]
+            A = np.array([[sum(zj * b[c] for zj, b in zip(z, basis)) for c in range(k)] for z in Z])
+            for z, a, loss in zip(Z, A, rates._loss_values(h, P, A.astype(float))):
+                value = 0.0  # the enumeration's arithmetic, level K-1 first
+                for i in range(k - 1, -1, -1):
+                    t = z[i] + sum(mu[j][i] * z[j] for j in range(i + 1, k))  # z_i - c
+                    value = value + r[i] * (t * t)
+                exact = exact_loss(h, P, a)
+                for got in (value, loss):
+                    worst = max(worst, abs(float((Fraction(got) - exact) / exact))
+                                / (k * np.finfo(float).eps * (1.0 + P * hn2)))
+        assert worst * 64 < rates._RADIUS_SLACK
+
+    def test_k3_row_memory_bound(self):
+        # the whole (2 amax + 1)^3 ball of one 30 dB row took 365 MB
+        H = np.random.default_rng(0).uniform(0.5, 2.0, size=(3, 3))
+        tracemalloc.start()
+        try:
+            rates.lattice_sum_rate(H, float(rates.db_to_linear(30.0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_leaf_budget(self):
+        h, P = [1.0, 0.3, 0.7], 1e4
+        assert len(rates.top_coefficient_vectors(h, P, 50)) == 50
+        with pytest.raises(ResourceLimitError, match="more than 20 leaves"):
+            rates.top_coefficient_vectors(h, P, 50, budget=20)
+
+    @pytest.mark.parametrize("h", [[1.0, 1.0], [1.0, 0.3], [1.0, 0.3, 0.7], [1e10, 1.0]])
+    def test_huge_power_is_a_numeric_range_error(self, h):
+        with pytest.raises(NumericRangeError):
+            rates.best_coefficient_vector(h, 1e300)
+
+    def test_failed_cholesky_is_a_numeric_range_error(self):
+        # past the power guard of the search, the form's float pivots go negative
+        with pytest.raises(NumericRangeError, match="Cholesky"):
+            rates._lll(np.array([1.0, 0.3]), 1e300, 1.09)
