@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,16 +83,51 @@ class EquationGroup:
     contributors: list  # (transmitter k, submessage index), sorted
 
 
-@dataclass
+@dataclass(eq=False)
 class EquationSystem:
-    receivers: list  # per receiver: ordered list of EquationGroup
+    """The receive equations of a signature map, held as index arrays.
+
+    Row g of receiver m is one receive monomial: ``exponents[m][g]`` is its
+    exponent tuple and ``values[m][g]`` its float value. Rows are numbered
+    over all receivers in turn (receiver 0's first). Incidence nonzero j
+    says that submessage ``col_keys[cols[j]]`` contributes to row
+    ``rows[j]``; the nonzeros are sorted by (row, column) and ``col_keys``
+    by (transmitter k, submessage index).
+    """
+
+    exponents: list  # per receiver: (groups, symbols) int64, in row order
+    values: list  # per receiver: (groups,) float64, in row order
+    rows: np.ndarray  # (nonzeros,) int64
+    cols: np.ndarray  # (nonzeros,) int64, positions in col_keys
+    col_keys: np.ndarray  # (columns, 2) int64 (k, i), sorted
     p: int
     scaling: float
     signature: "SignatureMap | None" = None
 
     @property
     def k(self) -> int:
-        return len(self.receivers)
+        return len(self.values)
+
+    def _row_bounds(self) -> np.ndarray:
+        """Nonzeros of row r are positions ``bounds[r]:bounds[r + 1]``."""
+        n_rows = sum(len(v) for v in self.values)
+        return np.searchsorted(self.rows, np.arange(n_rows + 1))
+
+    @cached_property
+    def receivers(self) -> list:
+        """Per receiver, its ``EquationGroup`` list in row order, built on first access."""
+        keys = list(map(tuple, self.col_keys.tolist()))
+        cols = self.cols.tolist()
+        bounds = self._row_bounds().tolist()
+        out, r = [], 0
+        for exps, vals in zip(self.exponents, self.values):
+            groups = []
+            for e, v in zip(exps.tolist(), vals):
+                contributors = [keys[c] for c in cols[bounds[r]:bounds[r + 1]]]
+                groups.append(EquationGroup(tuple(e), v, contributors))
+                r += 1
+            out.append(groups)
+        return out
 
 
 def monomial_card(k: int, l: int) -> int:
@@ -203,35 +239,54 @@ def derive_equation_system(sig: SignatureMap, H=None) -> EquationSystem:
     """Group (transmitter, submessage) pairs by receive exponent tuple.
 
     Grouping is exact integer arithmetic on exponents; the attached float
-    values are only carried along for distance computations. Distinct
-    exponent groups whose values collide under
+    values are only carried along for distance computations. A group's
+    value is the product of its first contributor in transmitter order,
+    and rows are ordered by (value, exponent tuple). Distinct exponent
+    groups whose values collide under
     ``diophantine.check_unique_factorization`` mark a non-generic channel
     and are rejected.
     """
     H = sig.h if H is None else np.asarray(H, dtype=float)
-    k = sig.k
-    receivers = []
-    for m in range(k):
-        groups = {}
-        for kk in range(k):
-            gexp = sig.gain_exponents[m][kk]
-            for sub in sig.transmitters[kk]:
-                if len(sub.exponents) != len(gexp):
-                    raise InvalidArgumentError("signature alphabet mismatch")
-                key = tuple(a + b for a, b in zip(sub.exponents, gexp))
-                val = sub.value * H[m, kk]
-                entry = groups.setdefault(key, [val, []])
-                entry[1].append((kk, sub.index))
-        ordered = [
-            EquationGroup(key, val, sorted(contrib))
-            for key, (val, contrib) in sorted(groups.items(), key=lambda kv: (kv[1][0], kv[0]))
-        ]
-        if not diophantine.check_unique_factorization([g.value for g in ordered]):
+    subs = [sub for tx in sig.transmitters for sub in tx]
+    widths = {len(sub.exponents) for sub in subs}
+    widths |= {len(g) for gains in sig.gain_exponents for g in gains}
+    if len(widths) > 1:
+        raise InvalidArgumentError("signature alphabet mismatch")
+    k, n = sig.k, len(subs)
+    owner = np.repeat(np.arange(k), [len(tx) for tx in sig.transmitters])
+    index = np.array([sub.index for sub in subs], dtype=np.int64)
+    # columns are the distinct (k, i) pairs in order, found as one integer key each
+    _, at, col_of = np.unique(owner * (index.max(initial=0) + 1) + index,
+                              return_index=True, return_inverse=True)
+    col_keys = np.stack([owner[at], index[at]], axis=1)
+    # every (receiver m, submessage) pair, receiver-major
+    gains = np.array(sig.gain_exponents, dtype=np.int64).reshape(k, k, -1)
+    exps = np.array([sub.exponents for sub in subs], dtype=np.int64) + gains[:, owner]
+    exps = exps.reshape(k * n, -1)
+    vals = (np.array([sub.value for sub in subs], dtype=float) * H[:, owner]).reshape(-1)
+    receiver = np.repeat(np.arange(k), n)
+    # stable: equal (receiver, exponent tuple) keys keep transmitter order, so
+    # the first of a run is the group's first contributor
+    order = np.lexsort((*exps.T[::-1], receiver))
+    exps, vals, receiver = exps[order], vals[order], receiver[order]
+    first = np.concatenate(([True], np.any(exps[1:] != exps[:-1], axis=1)
+                            | (receiver[1:] != receiver[:-1])))
+    # groups are in (receiver, exponents) order; a stable sort by (receiver,
+    # value) numbers the rows in (receiver, value, exponents) order
+    rank = np.lexsort((vals[first], receiver[first]))
+    row_of = np.empty_like(rank)
+    row_of[rank] = np.arange(len(rank))
+    ends = np.cumsum(np.bincount(receiver[first], minlength=k))[:-1]
+    exponents = np.split(exps[first][rank], ends)
+    values = np.split(vals[first][rank], ends)
+    for m, v in enumerate(values):
+        if not diophantine.check_unique_factorization(v):
             raise NonGenericChannelError(
                 f"receive monomials collide at receiver {m}; resample H"
             )
-        receivers.append(ordered)
-    return EquationSystem(receivers, sig.p, sig.scaling, sig)
+    rows, cols = row_of[np.cumsum(first) - 1], col_of[order % n]
+    nz = np.lexsort((cols, rows))
+    return EquationSystem(exponents, values, rows[nz], cols[nz], col_keys, sig.p, sig.scaling, sig)
 
 
 def tight_scaling_factor(eqsys: EquationSystem, c5_target: float = 1.0) -> float:
@@ -302,11 +357,16 @@ def awgn_channel(x, H, rng=None, noise_variance: float = 1.0) -> np.ndarray:
 def true_equations(submessages, eqsys: EquationSystem, sig: SignatureMap) -> list:
     """Integer sum of contributors per receive group (no modular reduction)."""
     ws = _as_submessage_arrays(submessages, sig)
-    out = []
-    for groups in eqsys.receivers:
-        rows = [sum(ws[kk][i] for kk, i in g.contributors) for g in groups]
-        out.append(np.stack(rows) if rows else np.zeros((0,), dtype=np.int64))
-    return out
+    first = np.cumsum([0] + [len(w) for w in ws])
+    by_col = np.concatenate(ws)[first[eqsys.col_keys[:, 0]] + eqsys.col_keys[:, 1]]
+    bounds = eqsys._row_bounds()
+    count = np.diff(bounds)
+    sums = np.zeros((len(count),) + by_col.shape[1:], dtype=np.int64)
+    # one pass per contributor slot; a canonical row has at most K contributors
+    for j in range(count.max(initial=0)):
+        has = np.flatnonzero(count > j)
+        sums[has] += by_col[eqsys.cols[bounds[has] + j]]
+    return np.split(sums, np.cumsum([len(v) for v in eqsys.values])[:-1])
 
 
 def _candidate_tuples(limits) -> np.ndarray:

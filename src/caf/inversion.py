@@ -59,15 +59,10 @@ class IncidenceSystem:
 
 def build_incidence(eqsys: EquationSystem) -> IncidenceSystem:
     """Assemble the submessage -> equation map of the equation system."""
-    col_keys = sorted({pair for rx in eqsys.receivers for g in rx for pair in g.contributors})
-    col_index = {key: j for j, key in enumerate(col_keys)}
-    row_keys = [(m, g.exponents) for m, groups in enumerate(eqsys.receivers) for g in groups]
-    rows, cols = [], []
-    for r, g in enumerate(g for groups in eqsys.receivers for g in groups):
-        rows += [r] * len(g.contributors)
-        cols += [col_index[key] for key in g.contributors]
+    col_keys = list(map(tuple, eqsys.col_keys.tolist()))
+    row_keys = [(m, tuple(e)) for m, exps in enumerate(eqsys.exponents) for e in exps.tolist()]
     matrix = np.zeros((len(row_keys), len(col_keys)), dtype=np.int8)
-    matrix[rows, cols] = 1
+    matrix[eqsys.rows, eqsys.cols] = 1
     return IncidenceSystem(matrix, row_keys, col_keys, eqsys.p)
 
 
@@ -81,11 +76,11 @@ class SolveResult:
 
 def _flatten_rhs(u, eqsys: EquationSystem) -> np.ndarray:
     rows = []
-    for m, groups in enumerate(eqsys.receivers):
+    for m, vals in enumerate(eqsys.values):
         um = np.asarray(u[m], dtype=np.int64)
-        if um.shape[0] != len(groups):
-            raise InvalidArgumentError(f"receiver {m}: expected {len(groups)} equation values")
-        rows.append(um.reshape(len(groups), -1))
+        if um.shape[0] != len(vals):
+            raise InvalidArgumentError(f"receiver {m}: expected {len(vals)} equation values")
+        rows.append(um.reshape(len(vals), -1))
     widths = {r.shape[1] for r in rows}
     if len(widths) != 1:
         raise InvalidArgumentError("equation value widths differ between receivers")
@@ -201,11 +196,16 @@ class PeelResult:
 def peel_invert(eqsys: EquationSystem, u, p: int | None = None) -> PeelResult:
     """Constructive inversion by repeated unique-origin readout.
 
-    Works round by round: every equation whose unresolved contributor set
-    is a singleton is read off (ordered by descending highest exponent of
-    the message, then receiver, then transmitter) and the resolved value
-    is subtracted from all equations immediately. Non-canonical signature
-    maps are delegated to ``solve_linear``.
+    Works round by round on the incidence nonzeros: every equation with
+    exactly one unresolved contributor is read off, the lowest such row
+    winning when several hold the same submessage, and the values read are
+    subtracted from every equation that holds them. Per row it keeps the
+    count and the sum of its unresolved column ids, so a row whose count
+    is 1 names its contributor by that sum. ``values`` is keyed in the
+    order of resolution: by round, then descending highest exponent of the
+    message, then the winning row's receiver, then (transmitter, index).
+    Equations that are never read are never checked. Non-canonical
+    signature maps are delegated to ``solve_linear``.
     """
     p = eqsys.p if p is None else int(p)
     if p != eqsys.p:
@@ -217,55 +217,45 @@ def peel_invert(eqsys: EquationSystem, u, p: int | None = None) -> PeelResult:
                 "linear fallback failed: system is rank-deficient or inconsistent"
             )
         return PeelResult(result.values, 0, True)
+    residual = _flatten_rhs(u, eqsys) % p
+    rows, cols, keys = eqsys.rows, eqsys.cols, eqsys.col_keys
+    n_rows, n_cols = len(residual), len(keys)
+    receiver = np.repeat(np.arange(eqsys.k), [len(v) for v in eqsys.values])
     sig = eqsys.signature
-    rhs = _flatten_rhs(u, eqsys) % p
-    # mutable equation state: residual value + unresolved contributor set
-    residual = [row.copy() for row in rhs]
-    unresolved = []
-    eq_of_msg = {}
-    row = 0
-    row_meta = []
-    for m, groups in enumerate(eqsys.receivers):
-        for g in groups:
-            members = set(g.contributors)
-            unresolved.append(members)
-            for pair in g.contributors:
-                eq_of_msg.setdefault(pair, []).append(row)
-            row_meta.append((m, g.exponents))
-            row += 1
-    degree = {
-        (kk, sub.index): max(sub.exponents)
-        for kk in range(sig.k)
-        for sub in sig.transmitters[kk]
-    }
-    values = {}
-    remaining = set(degree)
-    rounds = 0
-    while remaining:
-        singles = []
-        for r, members in enumerate(unresolved):
-            if len(members) == 1:
-                (pair,) = members
-                singles.append((-degree[pair], row_meta[r][0], pair[0], pair[1], r))
-        if not singles:
+    first = np.cumsum([0] + [len(tx) for tx in sig.transmitters])
+    degree = np.array([max(sub.exponents) for tx in sig.transmitters for sub in tx])
+    degree = degree[first[keys[:, 0]] + keys[:, 1]]
+    unresolved = np.bincount(rows, minlength=n_rows)
+    # float64 sums of column ids: exact far beyond any incidence width
+    col_sum = np.bincount(rows, weights=cols, minlength=n_rows)
+    resolved = np.zeros(n_cols, dtype=bool)
+    solved = np.zeros((n_cols, residual.shape[1]), dtype=np.int64)
+    sequence = []
+    while not resolved.all():
+        singles = np.flatnonzero(unresolved == 1)
+        if not singles.size:
+            left = keys[~resolved]
             raise PeelStallError(
-                f"peeling stalled with {len(remaining)} unresolved submessages: "
-                f"{sorted(remaining)[:8]}..."
+                f"peeling stalled with {len(left)} unresolved submessages: "
+                f"{list(map(tuple, left[:8].tolist()))}..."
             )
-        rounds += 1
-        for _, _, _, _, r in sorted(singles):
-            members = unresolved[r]
-            if len(members) != 1:
-                continue  # resolved earlier this round through another equation
-            (pair,) = members
-            val = residual[r] % p
-            values[pair] = val
-            remaining.discard(pair)
-            for rr in eq_of_msg[pair]:
-                if pair in unresolved[rr]:
-                    unresolved[rr].discard(pair)
-                    residual[rr] = (residual[rr] - val) % p
-    return PeelResult(values, rounds, False)
+        # singles ascend, so the first single row of each column is the lowest
+        new, at = np.unique(col_sum[singles].astype(np.int64), return_index=True)
+        winner = singles[at]
+        solved[new] = residual[winner]
+        sequence.append(new[np.lexsort((new, receiver[winner], -degree[new]))])
+        resolved[new] = True
+        newly = np.zeros(n_cols, dtype=bool)
+        newly[new] = True
+        hit = newly[cols]  # the nonzeros of this round's columns, still row-sorted
+        r, c = rows[hit], cols[hit]
+        unresolved -= np.bincount(r, minlength=n_rows)
+        col_sum -= np.bincount(r, weights=c, minlength=n_rows)
+        touched, start = np.unique(r, return_index=True)
+        residual[touched] = (residual[touched] - np.add.reduceat(solved[c], start)) % p
+    order = np.concatenate(sequence)
+    values = dict(zip(map(tuple, keys[order].tolist()), solved[order]))
+    return PeelResult(values, len(sequence), False)
 
 
 @dataclass

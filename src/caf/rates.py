@@ -367,8 +367,6 @@ def lattice_sum_rate(
     H,
     power,
     top_n: int = DEFAULT_TOP_N,
-    mode: str = "auto",
-    budget: int = DEFAULT_SEARCH_BUDGET,
     exhaustive_limit: int = 3,
 ) -> SumRateResult:
     """Best full-rank integer coefficient matrix over candidate tuples.
@@ -388,8 +386,7 @@ def lattice_sum_rate(
         raise ResourceLimitError(
             f"K={k} exceeds the exhaustive sum-rate limit {exhaustive_limit}"
         )
-    cands = [np.array(top_coefficient_vectors(H[m], power, top_n, mode, budget))
-             for m in range(k)]
+    cands = [np.array(top_coefficient_vectors(H[m], power, top_n)) for m in range(k)]
     scores = [np.array([lattice_rate_single(H[m], power, a) for a in cands[m]])
               for m in range(k)]
     # combo index grid in itertools.product order: receiver 0 varies slowest
@@ -493,7 +490,7 @@ class SweepRow:
     normalized_rate: float
 
 
-def normalized_rate_sweep(h2_grid, snr_db_list, mode: str = "auto") -> list[SweepRow]:
+def normalized_rate_sweep(h2_grid, snr_db_list) -> list[SweepRow]:
     """Best-equation rate for h = (1, h2), normalized by 1/2 log2(1 + (1+h2^2) P).
 
     Row order follows the (h2, snr) grid deterministically.
@@ -509,7 +506,7 @@ def normalized_rate_sweep(h2_grid, snr_db_list, mode: str = "auto") -> list[Swee
         h = np.array([1.0, float(h2)])
         for db in snr_db_list:
             power = float(db_to_linear(db))
-            a, rate = best_coefficient_vector(h, power, mode=mode)
+            a, rate = best_coefficient_vector(h, power)
             cap = 0.5 * np.log2(1.0 + (1.0 + h2 * h2) * power)
             rows.append(SweepRow(float(h2), float(db), tuple(int(x) for x in a), float(rate / cap)))
     return rows

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -141,6 +142,94 @@ class TestEquationSystem:
         sig = al.canonical_signature(H_GENERIC, 2, 5, mode="unit")
         eq = al.derive_equation_system(sig)
         assert any(len(g.contributors) == 2 for rx in eq.receivers for g in rx)
+
+
+def loop_derive_equations(sig, H=None):
+    """Reference: dict grouping by receive exponent tuple, one EquationGroup per group."""
+    H = sig.h if H is None else np.asarray(H, dtype=float)
+    receivers = []
+    for m in range(sig.k):
+        groups = {}
+        for kk in range(sig.k):
+            gexp = sig.gain_exponents[m][kk]
+            for sub in sig.transmitters[kk]:
+                if len(sub.exponents) != len(gexp):
+                    raise InvalidArgumentError("signature alphabet mismatch")
+                key = tuple(a + b for a, b in zip(sub.exponents, gexp))
+                entry = groups.setdefault(key, [sub.value * H[m, kk], []])
+                entry[1].append((kk, sub.index))
+        ordered = [
+            al.EquationGroup(key, val, sorted(contrib))
+            for key, (val, contrib) in sorted(groups.items(), key=lambda kv: (kv[1][0], kv[0]))
+        ]
+        if not dio.check_unique_factorization([g.value for g in ordered]):
+            raise NonGenericChannelError(f"receive monomials collide at receiver {m}; resample H")
+        receivers.append(ordered)
+    return receivers
+
+
+@functools.cache
+def _equation_cases():
+    cases = []
+    rng = np.random.default_rng(21)
+    for k, L in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
+        found = 0
+        while found < 2:
+            H = rng.uniform(0.5, 2.0, size=(k, k))
+            try:
+                sig = al.canonical_signature(H, L, 3, mode="unit")
+            except NonGenericChannelError:
+                continue
+            found += 1
+            cases.append((sig, H))
+    for h1, h2 in [(1.3, 0.8), (0.61, 1.77), (1.9, 0.52)]:
+        H = np.array([[1.0, h2], [h1, 1.0]])
+        cases.append((al.example_signature(H, p=5), H))
+    return cases
+
+
+class TestEquationSystemAgainstLoop:
+    """The array derivation reproduces the dict grouping bit for bit."""
+
+    @pytest.mark.parametrize("case", range(13))
+    def test_rows_values_and_contributors(self, case):
+        sig, H = _equation_cases()[case]
+        eq = al.derive_equation_system(sig, H)
+        want = loop_derive_equations(sig, H)
+        assert eq.k == len(want) == sig.k
+        rows = 0
+        for m, groups in enumerate(want):
+            assert eq.exponents[m].dtype == np.int64 and eq.values[m].dtype == np.float64
+            assert [tuple(e) for e in eq.exponents[m].tolist()] == [g.exponents for g in groups]
+            bits = np.array([g.value for g in groups]).view(np.uint64)
+            assert np.array_equal(eq.values[m].view(np.uint64), bits)
+            assert [g.contributors for g in eq.receivers[m]] == [g.contributors for g in groups]
+            assert [g.exponents for g in eq.receivers[m]] == [g.exponents for g in groups]
+            assert [g.value for g in eq.receivers[m]] == [g.value for g in groups]
+            rows += len(groups)
+        assert np.all(np.diff(eq.rows * len(eq.col_keys) + eq.cols) > 0)
+        assert eq.rows[-1] == rows - 1
+        pairs = sorted({c for groups in want for g in groups for c in g.contributors})
+        assert list(map(tuple, eq.col_keys.tolist())) == pairs
+
+    @pytest.mark.parametrize("case", range(13))
+    def test_true_equations_are_group_sums(self, case):
+        sig, H = _equation_cases()[case]
+        eq = al.derive_equation_system(sig, H)
+        rng = np.random.default_rng(case)
+        for shape in ((), (3,), (2, 4)):
+            w = [rng.integers(0, sig.p, size=(len(tx), *shape)) for tx in sig.transmitters]
+            got = al.true_equations(w, eq, sig)
+            for m, groups in enumerate(loop_derive_equations(sig, H)):
+                want = np.stack([sum(w[kk][i] for kk, i in g.contributors) for g in groups])
+                assert got[m].dtype == np.int64 and np.array_equal(got[m], want)
+
+    def test_alphabet_mismatch(self):
+        sig = al.example_signature(H_EXAMPLE, p=5)
+        sig.transmitters[1][0] = al.Submessage(0, (1, 0, 0), 1.3)
+        for derive in (al.derive_equation_system, loop_derive_equations):
+            with pytest.raises(InvalidArgumentError, match="alphabet"):
+                derive(sig)
 
 
 class TestModulate:

@@ -1,9 +1,11 @@
-"""The best-equation search still writes the benchmark's pinned CSV bytes.
+"""Every benchmark workload still writes its pinned CSV bytes.
 
 ``perfbench/workloads.py`` pins the SHA-256 of every benchmark CSV at its
-seed. The two workloads that run the coefficient search are rerun here,
-so a search change that alters a byte fails in the tier-1 suite and not
-only in the benchmark. The module is loaded read-only, by path.
+seed. All four workloads are rerun here: the coefficient search
+(``fig2_k2``, ``dof_k3``), the alignment Monte Carlo (``align_mc``) and
+the inversion check (``invert_k3``). A change that alters a byte on any
+of these paths fails in the tier-1 suite and not only in the benchmark.
+The module is loaded read-only, by path.
 """
 
 import hashlib
@@ -27,7 +29,7 @@ def workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["fig2_k2", "dof_k3"])
+@pytest.mark.parametrize("name", ["fig2_k2", "dof_k3", "align_mc", "invert_k3"])
 def test_search_workload_matches_pinned_digest(workloads, name, tmp_path):
     workload = workloads.WORKLOADS[name]
     digests = []

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -337,12 +338,90 @@ class TestPeel:
 
     def test_stall_is_reported(self):
         sig, eqsys = canonical_system(H_GENERIC, 1, 3)
-        # cripple the system: drop every equation that hears transmitter 0
-        for m in range(2):
-            eqsys.receivers[m] = [g for g in eqsys.receivers[m] if (0, 0) not in g.contributors]
-        u = [np.zeros(len(eqsys.receivers[m]), dtype=int) for m in range(2)]
-        with pytest.raises(inv.PeelStallError):
-            inv.peel_invert(eqsys, u)
+        # cripple the system: no equation hears transmitter 0 any more
+        heard = eqsys.cols != 0
+        eqsys = dataclasses.replace(eqsys, rows=eqsys.rows[heard], cols=eqsys.cols[heard])
+        assert all((0, 0) not in g.contributors for rx in eqsys.receivers for g in rx)
+        u = [np.zeros(len(eqsys.values[m]), dtype=int) for m in range(2)]
+        for peel in (inv.peel_invert, loop_peel):
+            with pytest.raises(inv.PeelStallError, match=r"1 unresolved submessages: \[\(0, 0\)\]"):
+                peel(eqsys, u)
+
+
+def loop_peel(eqsys, u):
+    """Reference: the set-based peel, one Python set of unresolved contributors per equation.
+
+    Each round sorts the singleton equations by (descending highest exponent
+    of the message, receiver, transmitter, index, row) and reads them off in
+    that order, skipping one whose submessage an earlier row of the round
+    already resolved.
+    """
+    p = eqsys.p
+    sig = eqsys.signature
+    rhs = inv._flatten_rhs(u, eqsys) % p
+    residual = [row.copy() for row in rhs]
+    unresolved, eq_of_msg, row_meta = [], {}, []
+    for m, groups in enumerate(eqsys.receivers):
+        for g in groups:
+            unresolved.append(set(g.contributors))
+            for pair in g.contributors:
+                eq_of_msg.setdefault(pair, []).append(len(row_meta))
+            row_meta.append(m)
+    degree = {(kk, sub.index): max(sub.exponents)
+              for kk in range(sig.k) for sub in sig.transmitters[kk]}
+    values, remaining, rounds = {}, set(degree), 0
+    while remaining:
+        singles = []
+        for r, members in enumerate(unresolved):
+            if len(members) == 1:
+                (pair,) = members
+                singles.append((-degree[pair], row_meta[r], pair[0], pair[1], r))
+        if not singles:
+            raise inv.PeelStallError(
+                f"peeling stalled with {len(remaining)} unresolved submessages: "
+                f"{sorted(remaining)[:8]}..."
+            )
+        rounds += 1
+        for *_, r in sorted(singles):
+            if len(unresolved[r]) != 1:
+                continue  # resolved earlier this round through another equation
+            (pair,) = unresolved[r]
+            val = residual[r] % p
+            values[pair] = val
+            remaining.discard(pair)
+            for rr in eq_of_msg[pair]:
+                if pair in unresolved[rr]:
+                    unresolved[rr].discard(pair)
+                    residual[rr] = (residual[rr] - val) % p
+    return inv.PeelResult(values, rounds, False)
+
+
+def assert_same_peel(got, want):
+    assert (got.rounds, got.fallback) == (want.rounds, want.fallback)
+    assert list(got.values) == list(want.values)
+    for key, value in want.values.items():
+        assert got.values[key].dtype == value.dtype
+        assert np.array_equal(got.values[key], value)
+
+
+class TestPeelAgainstLoop:
+    """The index-array peel reproduces the set-based peel: values, key order, rounds."""
+
+    @pytest.mark.parametrize("k, L", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_canonical(self, k, L):
+        rng = np.random.default_rng(70 + 10 * k + L)
+        for p in (2, 3, 7):
+            sig, eqsys = generic_canonical_system(k, L, p, rng)
+            w = [rng.integers(0, p, size=(len(tx), 3)) for tx in sig.transmitters]
+            u = [np.asarray(t) % p for t in al.true_equations(w, eqsys, sig)]
+            assert_same_peel(inv.peel_invert(eqsys, u), loop_peel(eqsys, u))
+            # corrupted equations: rows that disagree on a submessage
+            for um in u:
+                hit = rng.random(um.shape) < 0.2
+                um[hit] = (um[hit] + 1) % p
+            assert_same_peel(inv.peel_invert(eqsys, u), loop_peel(eqsys, u))
+            flat = [um[:, 0] for um in u]
+            assert_same_peel(inv.peel_invert(eqsys, flat), loop_peel(eqsys, flat))
 
 
 class TestInjectivity:

@@ -1,4 +1,4 @@
-"""Property tests: block peeling equals per-column peeling; sparse elimination equals dense."""
+"""Property tests: block peeling equals per-column peeling and the set-based peel; sparse elimination equals dense."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from caf import alignment as al  # noqa: E402
 from caf import inversion as inv  # noqa: E402
 from caf.errors import NonGenericChannelError  # noqa: E402
-from test_inversion import assert_same_solve, full_width_solve  # noqa: E402
+from test_inversion import assert_same_peel, assert_same_solve, full_width_solve, loop_peel  # noqa: E402
 
 
 @st.composite
@@ -46,6 +46,41 @@ def test_block_peel_equals_column_peels(instance):
         assert one.values.keys() == block.values.keys()
         for key, val in one.values.items():
             assert np.array_equal(block.values[key][j : j + 1], val)
+
+
+@st.composite
+def disagreeing_rows(draw):
+    k, L = draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = rng.uniform(0.5, 2.0, size=(k, k))
+    try:
+        sig = al.canonical_signature(H, L, p, mode="unit")
+    except NonGenericChannelError:
+        hypothesis.assume(False)
+    eqsys = al.derive_equation_system(sig, H)
+    cols = draw(st.integers(1, 3))
+    w = [rng.integers(0, p, size=(len(tx), cols)) for tx in sig.transmitters]
+    u = [t % p for t in al.true_equations(w, eqsys, sig)]
+    # shift one row: it now disagrees with every other row that reads its submessages
+    m = draw(st.integers(0, k - 1))
+    g = draw(st.integers(0, len(u[m]) - 1))
+    u[m][g] = (u[m][g] + draw(st.integers(1, p - 1))) % p
+    return eqsys, u
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+@hypothesis.given(disagreeing_rows())
+def test_peel_winner_is_the_lowest_row(instance):
+    eqsys, u = instance
+    got = inv.peel_invert(eqsys, u)
+    assert_same_peel(got, loop_peel(eqsys, u))
+    if eqsys.signature.l == 1:
+        # every row reads one submessage in the one round: the lowest row holding it wins
+        flat = inv._flatten_rhs(u, eqsys)
+        assert got.rounds == 1
+        for c, key in enumerate(map(tuple, eqsys.col_keys.tolist())):
+            assert np.array_equal(got.values[key], flat[eqsys.rows[eqsys.cols == c].min()])
 
 
 @st.composite

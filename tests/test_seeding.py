@@ -18,3 +18,13 @@ def test_child_rng_deterministic():
     a = child_rng(3, 1).standard_normal(4)
     b = child_rng(3, 1).standard_normal(4)
     assert (a == b).all()
+
+
+def test_pinned_outputs():
+    # literal values: every CSV's row_seed column and every child stream depend on them
+    assert derive_seed(0) == 6960609395398876157
+    assert derive_seed(0, 0) == 3719959105437101849
+    assert derive_seed(0, 0, 0) == 12430131736877515816
+    assert derive_seed(1, 2, 3) == 11399521596424023399
+    assert derive_seed(2**63 - 1, 7) == 5051206731531200238
+    assert derive_seed(12345, 99, 1) == 6707259930775808427
