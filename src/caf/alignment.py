@@ -42,38 +42,32 @@ DEMOD_BUDGET = 1 << 18
 DEMOD_CHUNK_CELLS = 1 << 16  # cells per ml_demodulate temporary
 
 
-@dataclass(frozen=True)
-class Submessage:
-    index: int
-    exponents: tuple
-    value: float
-
-
 @dataclass
 class SignatureMap:
     """Who transmits which monomial, and at what amplitude.
 
-    ``gain_exponents[m][k]`` is the exponent contribution of passing
-    through h[m, k], over the same symbol alphabet as the signature
-    exponents (for the canonical scheme the alphabet is all K^2 gains; in
-    the worked two-user example the unit diagonal gains contribute
-    nothing).
+    Transmitter k sends submessage i on signature row i: ``exponents[k][i]``
+    is the row's exponent tuple over the symbol alphabet and ``values[k][i]``
+    its float value. ``gain_exponents[m, k]`` is the exponent contribution
+    of passing through h[m, k], over the same alphabet (for the canonical
+    scheme the alphabet is all K^2 gains, one-hot per gain; in the worked
+    two-user example the unit diagonal gains contribute nothing).
     """
 
     h: np.ndarray
-    gain_exponents: tuple
-    transmitters: list
+    gain_exponents: np.ndarray  # (K, K, symbols) int64
+    exponents: list  # per transmitter: (n_k, symbols) int64
+    values: list  # per transmitter: (n_k,) float64
     p: int
     scaling: float = 1.0
     l: int | None = None
-    mode: str = "unit"
 
     @property
     def k(self) -> int:
         return self.h.shape[0]
 
     def submessage_count(self) -> int:
-        return sum(len(t) for t in self.transmitters)
+        return sum(len(v) for v in self.values)
 
 
 @dataclass
@@ -91,8 +85,9 @@ class EquationSystem:
     exponent tuple and ``values[m][g]`` its float value. Rows are numbered
     over all receivers in turn (receiver 0's first). Incidence nonzero j
     says that submessage ``col_keys[cols[j]]`` contributes to row
-    ``rows[j]``; the nonzeros are sorted by (row, column) and ``col_keys``
-    by (transmitter k, submessage index).
+    ``rows[j]``; the nonzeros are sorted by (row, column). Column c is the
+    signature's row c counted over all transmitters in turn, so
+    ``col_keys`` is (transmitter k, row i) in that order.
     """
 
     exponents: list  # per receiver: (groups, symbols) int64, in row order
@@ -101,7 +96,6 @@ class EquationSystem:
     cols: np.ndarray  # (nonzeros,) int64, positions in col_keys
     col_keys: np.ndarray  # (columns, 2) int64 (k, i), sorted
     p: int
-    scaling: float
     signature: "SignatureMap | None" = None
 
     @property
@@ -115,7 +109,10 @@ class EquationSystem:
 
     @cached_property
     def receivers(self) -> list:
-        """Per receiver, its ``EquationGroup`` list in row order, built on first access."""
+        """Per receiver, its ``EquationGroup`` list in row order, built on first access.
+
+        Only demodulation reads this view; everything else reads the arrays.
+        """
         keys = list(map(tuple, self.col_keys.tolist()))
         cols = self.cols.tolist()
         bounds = self._row_bounds().tolist()
@@ -135,13 +132,9 @@ def monomial_card(k: int, l: int) -> int:
     return l ** (k * k)
 
 
-def _canonical_gain_exponents(k: int) -> tuple:
+def _canonical_gain_exponents(k: int) -> np.ndarray:
     """``gain_exponents`` of the canonical scheme: h[m, k] is the one-hot symbol m K + k."""
-    n = k * k
-    return tuple(
-        tuple(tuple(1 if j == m * k + kk else 0 for j in range(n)) for kk in range(k))
-        for m in range(k)
-    )
+    return np.eye(k * k, dtype=np.int64).reshape(k, k, k * k)
 
 
 def canonical_signature(
@@ -172,15 +165,14 @@ def canonical_signature(
         )
     # G_L: the G_{L+1} monomials with no exponent equal to L. Square-and-multiply
     # skips zero high bits, so their values are those of a G_L build, bit for bit.
-    # Submessages are indexed in exponent order so the equation structure (and
-    # the incidence matrix built from it) never depends on float values of H
+    # Signature rows are in exponent order so the equation structure (and the
+    # incidence matrix built from it) never depends on float values of H
     small = (big.exponents < L).all(axis=1)
     exps, vals = big.exponents[small], big.values[small]
     order = np.lexsort(exps.T[::-1])
-    subs = [Submessage(i, tuple(e), v)
-            for i, (e, v) in enumerate(zip(exps[order].tolist(), vals[order].tolist()))]
-    sig = SignatureMap(H, _canonical_gain_exponents(k), [list(subs) for _ in range(k)],
-                       p, 1.0, L, mode)
+    exps, vals = exps[order], vals[order]
+    # every transmitter uses all of G_L, so they share the two arrays
+    sig = SignatureMap(H, _canonical_gain_exponents(k), [exps] * k, [vals] * k, p, 1.0, L)
     if mode == "worstcase":
         card = monomial_card(k, L + 1)
         log2_b = card * math.log2(k * p)
@@ -190,8 +182,7 @@ def canonical_signature(
             )
         sig.scaling = float((k * p) ** card)
     elif mode == "tight":
-        eqsys = derive_equation_system(sig, H)
-        sig.scaling = tight_scaling_factor(eqsys, c5_target)
+        sig.scaling = tight_scaling_factor(derive_equation_system(sig), c5_target)
     elif mode != "unit":
         raise InvalidArgumentError(f"unknown scaling mode {mode!r}")
     return sig
@@ -223,20 +214,20 @@ def example_signature(H, p: int = 5, mode: str = "unit", c5_target: float = 1.0)
             "example channel gains collide (e.g. h1 = h2 makes h1 h2 = h1^2)"
         )
     # alphabet (h1, h2); unit diagonal gains contribute no exponents
-    gain_exp = (((0, 0), (0, 1)), ((1, 0), (0, 0)))
-    tx1 = [Submessage(0, (0, 0), 1.0), Submessage(1, (1, 1), h1 * h2)]
-    tx2 = [Submessage(0, (1, 0), h1), Submessage(1, (2, 1), h1 * h1 * h2)]
-    sig = SignatureMap(H, gain_exp, [tx1, tx2], p, 1.0, None, mode)
+    gain_exp = np.array([[[0, 0], [0, 1]], [[1, 0], [0, 0]]], dtype=np.int64)
+    exponents = [np.array([[0, 0], [1, 1]], dtype=np.int64),
+                 np.array([[1, 0], [2, 1]], dtype=np.int64)]
+    values = [np.array([1.0, h1 * h2]), np.array([h1, h1 * h1 * h2])]
+    sig = SignatureMap(H, gain_exp, exponents, values, p)
     if mode == "tight":
-        eqsys = derive_equation_system(sig, H)
-        sig.scaling = tight_scaling_factor(eqsys, c5_target)
+        sig.scaling = tight_scaling_factor(derive_equation_system(sig), c5_target)
     elif mode != "unit":
         raise InvalidArgumentError(f"unsupported scaling mode {mode!r} for the example")
     return sig
 
 
-def derive_equation_system(sig: SignatureMap, H=None) -> EquationSystem:
-    """Group (transmitter, submessage) pairs by receive exponent tuple.
+def derive_equation_system(sig: SignatureMap) -> EquationSystem:
+    """Group (transmitter, submessage) pairs by receive exponent tuple at ``sig.h``.
 
     Grouping is exact integer arithmetic on exponents; the attached float
     values are only carried along for distance computations. A group's
@@ -246,24 +237,18 @@ def derive_equation_system(sig: SignatureMap, H=None) -> EquationSystem:
     ``diophantine.check_unique_factorization`` mark a non-generic channel
     and are rejected.
     """
-    H = sig.h if H is None else np.asarray(H, dtype=float)
-    subs = [sub for tx in sig.transmitters for sub in tx]
-    widths = {len(sub.exponents) for sub in subs}
-    widths |= {len(g) for gains in sig.gain_exponents for g in gains}
-    if len(widths) > 1:
+    width = sig.gain_exponents.shape[-1]
+    if any(e.shape[1] != width for e in sig.exponents):
         raise InvalidArgumentError("signature alphabet mismatch")
-    k, n = sig.k, len(subs)
-    owner = np.repeat(np.arange(k), [len(tx) for tx in sig.transmitters])
-    index = np.array([sub.index for sub in subs], dtype=np.int64)
-    # columns are the distinct (k, i) pairs in order, found as one integer key each
-    _, at, col_of = np.unique(owner * (index.max(initial=0) + 1) + index,
-                              return_index=True, return_inverse=True)
-    col_keys = np.stack([owner[at], index[at]], axis=1)
+    k = sig.k
+    counts = [len(v) for v in sig.values]
+    n = sum(counts)
+    # columns are the signature rows, transmitter after transmitter
+    owner = np.repeat(np.arange(k), counts)
+    col_keys = np.stack([owner, np.concatenate([np.arange(c) for c in counts])], axis=1)
     # every (receiver m, submessage) pair, receiver-major
-    gains = np.array(sig.gain_exponents, dtype=np.int64).reshape(k, k, -1)
-    exps = np.array([sub.exponents for sub in subs], dtype=np.int64) + gains[:, owner]
-    exps = exps.reshape(k * n, -1)
-    vals = (np.array([sub.value for sub in subs], dtype=float) * H[:, owner]).reshape(-1)
+    exps = (np.concatenate(sig.exponents) + sig.gain_exponents[:, owner]).reshape(k * n, -1)
+    vals = (np.concatenate(sig.values) * sig.h[:, owner]).reshape(-1)
     receiver = np.repeat(np.arange(k), n)
     # stable: equal (receiver, exponent tuple) keys keep transmitter order, so
     # the first of a run is the group's first contributor
@@ -284,9 +269,9 @@ def derive_equation_system(sig: SignatureMap, H=None) -> EquationSystem:
             raise NonGenericChannelError(
                 f"receive monomials collide at receiver {m}; resample H"
             )
-    rows, cols = row_of[np.cumsum(first) - 1], col_of[order % n]
+    rows, cols = row_of[np.cumsum(first) - 1], order % n
     nz = np.lexsort((cols, rows))
-    return EquationSystem(exponents, values, rows[nz], cols[nz], col_keys, sig.p, sig.scaling, sig)
+    return EquationSystem(exponents, values, rows[nz], cols[nz], col_keys, sig.p, sig)
 
 
 def tight_scaling_factor(eqsys: EquationSystem, c5_target: float = 1.0) -> float:
@@ -299,14 +284,12 @@ def tight_scaling_factor(eqsys: EquationSystem, c5_target: float = 1.0) -> float
     if not (math.isfinite(c5_target) and c5_target > 0):
         raise InvalidArgumentError(f"c5 must be finite and > 0, got {c5_target}")
     p = eqsys.p
-    sep = math.inf
-    for groups in eqsys.receivers:
-        values = [g.value for g in groups]
-        ranges = [len(g.contributors) * (p - 1) for g in groups]
-        sep = min(
-            sep,
-            diophantine.monomial_separation(values, ranges, integer_shift=False),
-        )
+    ranges = np.diff(eqsys._row_bounds()) * (p - 1)
+    sep, start = math.inf, 0
+    for values in eqsys.values:
+        sep = min(sep, diophantine.monomial_separation(
+            values, ranges[start:start + len(values)], integer_shift=False))
+        start += len(values)
     if not sep > 0.0:
         raise NonGenericChannelError("zero receive separation; channel is degenerate")
     return 2.0 * c5_target * math.sqrt(p) / sep
@@ -318,9 +301,9 @@ def _as_submessage_arrays(submessages, sig: SignatureMap):
     out = []
     for kk, w in enumerate(submessages):
         w = np.asarray(w, dtype=np.int64)
-        if w.shape[0] != len(sig.transmitters[kk]):
+        if w.shape[0] != len(sig.values[kk]):
             raise InvalidArgumentError(
-                f"transmitter {kk} expects {len(sig.transmitters[kk])} submessages"
+                f"transmitter {kk} expects {len(sig.values[kk])} submessages"
             )
         if np.any(w < 0) or np.any(w > sig.p - 1):
             raise InvalidArgumentError("submessage values must lie in [0, p-1]")
@@ -331,11 +314,8 @@ def _as_submessage_arrays(submessages, sig: SignatureMap):
 def modulate(submessages, sig: SignatureMap) -> np.ndarray:
     """x_k = B sum_i w[k, i] g[k, i]; accepts (n_k,) or (n_k, T) per transmitter."""
     ws = _as_submessage_arrays(submessages, sig)
-    cols = []
-    for kk, w in enumerate(ws):
-        g = np.array([s.value for s in sig.transmitters[kk]])
-        cols.append(sig.scaling * np.tensordot(g, w, axes=(0, 0)))
-    return np.stack(cols)
+    return np.stack([sig.scaling * np.tensordot(g, w, axes=(0, 0))
+                     for g, w in zip(sig.values, ws)])
 
 
 def awgn_channel(x, H, rng=None, noise_variance: float = 1.0) -> np.ndarray:
@@ -356,9 +336,8 @@ def awgn_channel(x, H, rng=None, noise_variance: float = 1.0) -> np.ndarray:
 
 def true_equations(submessages, eqsys: EquationSystem, sig: SignatureMap) -> list:
     """Integer sum of contributors per receive group (no modular reduction)."""
-    ws = _as_submessage_arrays(submessages, sig)
-    first = np.cumsum([0] + [len(w) for w in ws])
-    by_col = np.concatenate(ws)[first[eqsys.col_keys[:, 0]] + eqsys.col_keys[:, 1]]
+    # column c is the signature's row c over all transmitters in turn
+    by_col = np.concatenate(_as_submessage_arrays(submessages, sig))
     bounds = eqsys._row_bounds()
     count = np.diff(bounds)
     sums = np.zeros((len(count),) + by_col.shape[1:], dtype=np.int64)

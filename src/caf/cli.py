@@ -47,19 +47,6 @@ LIST_KEYS = {"snr_db", "p"}
 
 
 @dataclass
-class SweepResult:
-    """Tabular experiment output: rows in grid order, seeds attached."""
-
-    header: list
-    rows: list
-    seed: int
-    schema_version: int = SCHEMA_VERSION
-
-    def to_csv(self, path: str) -> str:
-        return write_csv(path, self.header, self.rows)
-
-
-@dataclass
 class RunConfig:
     """Experiment name plus parameters, checked against the experiment schema."""
 
@@ -190,7 +177,7 @@ def cmd_fig2(config: dict, outdir: str) -> str:
     for (i, j, a1, a2, value), task in zip(results, tasks):
         rows.append([SCHEMA_VERSION, seed, derive_seed(seed, i, j),
                      task[2], task[3], a1, a2, value])
-    text = SweepResult(header, rows, seed).to_csv(os.path.join(outdir, "fig2.csv"))
+    text = write_csv(os.path.join(outdir, "fig2.csv"), header, rows)
     header_row, data = read_csv_text(text)
     series = []
     for db in snrs:
@@ -249,7 +236,7 @@ def cmd_dof(config: dict, outdir: str) -> str:
             slope = rates.dof_slope(values, db_grid)
             rows.append([SCHEMA_VERSION, seed, derive_seed(seed, len(rows)),
                          h_id, kind, curve, "slope", "", slope, entries])
-    return SweepResult(header, rows, seed).to_csv(os.path.join(outdir, "dof.csv"))
+    return write_csv(os.path.join(outdir, "dof.csv"), header, rows)
 
 
 # ---------------------------------------------------------------- align
@@ -309,7 +296,7 @@ def cmd_align(config: dict, outdir: str) -> str:
     rows = []
     for pi, p in enumerate(p_list):
         sig = _build_signature(config, H, p, c5)
-        eqsys = alignment.derive_equation_system(sig, H)
+        eqsys = alignment.derive_equation_system(sig)
         code_file = config.get("code_file")
         if code_file:
             with open(code_file, "r", encoding="utf-8") as fh:
@@ -340,7 +327,7 @@ def cmd_align(config: dict, outdir: str) -> str:
                      stats["power_mean"], stats["demod_symbol_errors"],
                      stats["demod_symbols"], stats["equation_block_errors"],
                      stats["message_mismatches"], stats["blocks"], rate0])
-    return SweepResult(header, rows, seed).to_csv(os.path.join(outdir, "align.csv"))
+    return write_csv(os.path.join(outdir, "align.csv"), header, rows)
 
 
 def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corrupt, seed):
@@ -351,8 +338,8 @@ def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corru
     rng = child_rng(seed, 0)
     # messages per (transmitter, submessage): vectors over F_p
     messages = [
-        [rng.integers(0, p, size=(code.message_len, trials)) for _ in tx]
-        for tx in sig.transmitters
+        [rng.integers(0, p, size=(code.message_len, trials)) for _ in range(len(v))]
+        for v in sig.values
     ]
     wbar = [[fpcode.encode(code, w) for w in tx] for tx in messages]  # (T, trials)
     flat = [np.stack([w.reshape(-1) for w in tx]) for tx in wbar]  # (n_k, T*trials)
@@ -415,10 +402,10 @@ def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corru
             solved.append((result.values, slice(tr, tr + 1)))
     for values, cols in solved:
         wrong = False  # per trial: some submessage was not recovered
-        for kk in range(k):
-            for i, sub in enumerate(sig.transmitters[kk]):
-                got = values[(kk, sub.index)].reshape(code.message_len, -1)
-                wrong = wrong | np.any(got != messages[kk][i][:, cols] % p, axis=0)
+        for kk, tx in enumerate(messages):
+            for i, sent in enumerate(tx):
+                got = values[(kk, i)].reshape(code.message_len, -1)
+                wrong = wrong | np.any(got != sent[:, cols] % p, axis=0)
         message_mismatches += int(np.count_nonzero(wrong))
     return {
         "power_mean": power_mean,
@@ -461,8 +448,8 @@ def cmd_invert(config: dict, outdir: str) -> str:
         except NonGenericChannelError:
             rejected += 1
             continue
-        eqsys = alignment.derive_equation_system(sig, H)
-        w = [child_rng(seed, s, kk).integers(0, p, size=(len(sig.transmitters[kk]), 1))
+        eqsys = alignment.derive_equation_system(sig)
+        w = [child_rng(seed, s, kk).integers(0, p, size=(len(sig.values[kk]), 1))
              for kk in range(k)]
         u = [t % p for t in alignment.true_equations(w, eqsys, sig)]
         peel = inversion.peel_invert(eqsys, u)
@@ -486,7 +473,7 @@ def cmd_invert(config: dict, outdir: str) -> str:
               "injective_pass", "peel_equals_solve", "rejected"]
     rows = [[SCHEMA_VERSION, seed, derive_seed(seed, 0), k, l, p, samples,
              injective, peel_eq, rejected]]
-    return SweepResult(header, rows, seed).to_csv(os.path.join(outdir, "invert.csv"))
+    return write_csv(os.path.join(outdir, "invert.csv"), header, rows)
 
 
 # ---------------------------------------------------------------- dioph
@@ -520,7 +507,7 @@ def cmd_dioph(config: dict, outdir: str) -> str:
         rows.append([SCHEMA_VERSION, seed, derive_seed(seed, len(rows)),
                      "separation_ratio", f"K{k}L{l}", row.p,
                      row.ratio_to_sqrt_p, "ok" if row.generic else "non-generic"])
-    return SweepResult(header, rows, seed).to_csv(os.path.join(outdir, "dioph.csv"))
+    return write_csv(os.path.join(outdir, "dioph.csv"), header, rows)
 
 
 # ----------------------------------------------------------------- main

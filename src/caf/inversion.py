@@ -16,11 +16,11 @@ linear system over F_p whose columns are submessages and whose rows are
   equation always has exactly one unresolved contributor (highest powers
   resolve first); reading it off and subtracting it from every equation
   exposes the next layer, recursing down the exponent range. Resolution
-  order is fixed (descending highest exponent, then receiver, then
-  transmitter); any valid order yields the same values, which the oracle
-  cross-check enforces in the tests. A stall (no singleton equation while
-  messages remain) would contradict the injectivity guarantee and is
-  reported as such.
+  order is fixed (by round, then descending highest exponent, then the
+  winning row's receiver, then transmitter and index); any valid order
+  yields the same values, which the oracle cross-check enforces in the
+  tests. A stall (no singleton equation while messages remain) would
+  contradict the injectivity guarantee and is reported as such.
 
 Peeling applies to the canonical signature construction only; arbitrary
 signature maps fall back to the linear solver.
@@ -180,10 +180,9 @@ def _is_canonical(eqsys: EquationSystem) -> bool:
     sig = eqsys.signature
     if sig is None or sig.l is None:
         return False
-    if sig.gain_exponents != _canonical_gain_exponents(sig.k):
-        return False
     full = sig.l ** (sig.k * sig.k)
-    return all(len(tx) == full for tx in sig.transmitters)
+    return (np.array_equal(sig.gain_exponents, _canonical_gain_exponents(sig.k))
+            and all(len(v) == full for v in sig.values))
 
 
 @dataclass
@@ -193,7 +192,7 @@ class PeelResult:
     fallback: bool  # solved by the linear oracle (non-canonical signature)
 
 
-def peel_invert(eqsys: EquationSystem, u, p: int | None = None) -> PeelResult:
+def peel_invert(eqsys: EquationSystem, u) -> PeelResult:
     """Constructive inversion by repeated unique-origin readout.
 
     Works round by round on the incidence nonzeros: every equation with
@@ -207,9 +206,6 @@ def peel_invert(eqsys: EquationSystem, u, p: int | None = None) -> PeelResult:
     Equations that are never read are never checked. Non-canonical
     signature maps are delegated to ``solve_linear``.
     """
-    p = eqsys.p if p is None else int(p)
-    if p != eqsys.p:
-        raise InvalidArgumentError("p disagrees with the equation system")
     if not _is_canonical(eqsys):
         result = solve_linear(build_incidence(eqsys), u, eqsys)
         if result.values is None:
@@ -217,14 +213,13 @@ def peel_invert(eqsys: EquationSystem, u, p: int | None = None) -> PeelResult:
                 "linear fallback failed: system is rank-deficient or inconsistent"
             )
         return PeelResult(result.values, 0, True)
+    p = eqsys.p
     residual = _flatten_rhs(u, eqsys) % p
     rows, cols, keys = eqsys.rows, eqsys.cols, eqsys.col_keys
     n_rows, n_cols = len(residual), len(keys)
     receiver = np.repeat(np.arange(eqsys.k), [len(v) for v in eqsys.values])
-    sig = eqsys.signature
-    first = np.cumsum([0] + [len(tx) for tx in sig.transmitters])
-    degree = np.array([max(sub.exponents) for tx in sig.transmitters for sub in tx])
-    degree = degree[first[keys[:, 0]] + keys[:, 1]]
+    # column c is the signature's row c over all transmitters in turn
+    degree = np.concatenate([e.max(axis=1) for e in eqsys.signature.exponents])
     unresolved = np.bincount(rows, minlength=n_rows)
     # float64 sums of column ids: exact far beyond any incidence width
     col_sum = np.bincount(rows, weights=cols, minlength=n_rows)

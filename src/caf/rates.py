@@ -39,46 +39,23 @@ _RADIUS_SLACK = 2.0**10
 # default number of per-receiver candidates combined in the sum-rate search
 DEFAULT_TOP_N = 16
 
+# relative accuracy of the water level that mimo_upper_bound bisects for
+MIMO_REL_TOL = 1e-10
+
 
 def db_to_linear(db):
     """dB to linear power, P = 10^(dB/10)."""
     return 10.0 ** (np.asarray(db, dtype=float) / DB_LOG_BASE)
 
 
-@dataclass
-class ChannelMatrix:
-    """Real K x K channel gains h[m, k] (receiver m, transmitter k)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise InvalidArgumentError("channel matrix must be square")
-        if not np.all(np.isfinite(self.entries)):
-            raise InvalidArgumentError("channel gains must be finite")
-
-    @property
-    def k(self) -> int:
-        return self.entries.shape[0]
-
-    def row(self, m: int) -> np.ndarray:
-        return self.entries[m]
-
-    def is_generic(self, degree: int = 2) -> bool:
-        """No zero entries and pairwise-distinct monomials up to ``degree``."""
-        from . import diophantine
-
-        if np.any(self.entries == 0.0):
-            return False
-        mset = diophantine.build_monomial_set(self.entries, degree)
-        return diophantine.check_unique_factorization(mset.values)
-
-
 def _as_channel(H) -> np.ndarray:
-    if isinstance(H, ChannelMatrix):
-        return H.entries
-    return ChannelMatrix(np.asarray(H, dtype=float)).entries
+    """Real K x K channel gains h[m, k] (receiver m, transmitter k), checked."""
+    H = np.asarray(H, dtype=float)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise InvalidArgumentError("channel matrix must be square")
+    if not np.all(np.isfinite(H)):
+        raise InvalidArgumentError("channel gains must be finite")
+    return H
 
 
 def _check_vec(h, a, power) -> tuple[np.ndarray, np.ndarray]:
@@ -421,11 +398,11 @@ def ia_baseline(k: int, power) -> float:
     return 0.25 * k * float(np.log2(power))
 
 
-def mimo_upper_bound(H, power, rel_tol: float = 1e-10) -> float:
+def mimo_upper_bound(H, power) -> float:
     """Cooperative MIMO bound: max over tr(Q) <= K P of 1/2 log2 det(I + HQH^T).
 
     Solved by water-filling across the squared singular values of H; the
-    water level is found by bisection to ``rel_tol`` relative accuracy.
+    water level is found by bisection to ``MIMO_REL_TOL`` relative accuracy.
     """
     H = _as_channel(H)
     if power <= 0:
@@ -441,7 +418,7 @@ def mimo_upper_bound(H, power, rel_tol: float = 1e-10) -> float:
         return float(np.sum(np.maximum(0.0, mu - 1.0 / s2)))
 
     lo, hi = 0.0, total + float(1.0 / s2.min())
-    while hi - lo > rel_tol * max(1.0, hi):
+    while hi - lo > MIMO_REL_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if allocated(mid) < total:
             lo = mid

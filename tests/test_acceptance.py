@@ -309,7 +309,7 @@ def test_criterion_4_noiseless_example_pipeline():
     h1, h2 = rng.uniform(0.5, 2.0, size=2)
     H = np.array([[1.0, h2], [h1, 1.0]])
     sig = al.example_signature(H, p=5)
-    eqsys = al.derive_equation_system(sig, H)
+    eqsys = al.derive_equation_system(sig)
     code = fpcode.gv_search(5, 15, 3, seed=derive_seed(SEED, 50), message_len=4)
     stats = cafcli._run_alignment_block(sig, eqsys, code, H, trials=1000,
                                         noise_var=0.0, strategy="exhaustive",
@@ -327,7 +327,7 @@ def test_criterion_4_noiseless_canonical_primes():
     totals = {}
     for p in (3, 5, 7):
         sig = al.canonical_signature(H, 1, p, mode="unit")
-        eqsys = al.derive_equation_system(sig, H)
+        eqsys = al.derive_equation_system(sig)
         code = fpcode.gv_search(p, 15, 3, seed=derive_seed(SEED, 60, p), message_len=3)
         stats = cafcli._run_alignment_block(sig, eqsys, code, H, trials=300,
                                             noise_var=0.0, strategy="exhaustive",
@@ -348,7 +348,7 @@ def demod_error_rates():
     out = {}
     for p in (3, 5, 7):
         sig = al.canonical_signature(H, 1, p, mode="tight", c5_target=c5)
-        eqsys = al.derive_equation_system(sig, H)
+        eqsys = al.derive_equation_system(sig)
         w = [child_rng(SEED, 8, p, kk).integers(0, p, size=(1, n)) for kk in range(2)]
         x = al.modulate(w, sig)
         y = al.awgn_channel(x, H, rng=child_rng(SEED, 9, p), noise_variance=1.0)
@@ -408,11 +408,11 @@ def _inversion_batch(k: int, l: int, p: int, count: int, stream: int):
             sig = al.canonical_signature(H, l, p, mode="unit")
         except NonGenericChannelError:
             continue
-        eqsys = al.derive_equation_system(sig, H)
+        eqsys = al.derive_equation_system(sig)
         report = inv.injectivity_check(eqsys)
         if not report.injective:
             return False, f"rank {report.rank} != {report.expected_rank} at instance {tried}"
-        w = [rng.integers(0, p, size=(len(tx),)) for tx in sig.transmitters]
+        w = [rng.integers(0, p, size=(len(v),)) for v in sig.values]
         u = [np.asarray(t) % p for t in al.true_equations(w, eqsys, sig)]
         peel = inv.peel_invert(eqsys, u)
         solve = inv.solve_linear(inv.build_incidence(eqsys), u, eqsys)
@@ -422,8 +422,8 @@ def _inversion_batch(k: int, l: int, p: int, count: int, stream: int):
             if not np.array_equal(peel.values[key], solve.values[key]):
                 return False, f"peel != solve at instance {tried}, column {key}"
         for kk in range(k):
-            for i, sub in enumerate(sig.transmitters[kk]):
-                if int(peel.values[(kk, sub.index)][0]) != int(w[kk][i]):
+            for i in range(len(sig.values[kk])):
+                if int(peel.values[(kk, i)][0]) != int(w[kk][i]):
                     return False, f"recovered message wrong at instance {tried}"
         passed += 1
     return True, f"{passed}/{passed} instances injective and peel == solve"

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -19,21 +20,38 @@ H_GENERIC = np.array([[1.37, 0.71], [1.92, 0.58]])
 H_EXAMPLE = np.array([[1.0, 0.8], [1.3, 1.0]])
 
 
+def one_signature_map(H, values, p):
+    """K=2 map: transmitter 0 sends row i on symbol power i + 1; transmitter 1 is silent.
+
+    No gain contributes an exponent, so each receiver hears transmitter 0's
+    rows as they are, scaled by its gain.
+    """
+    n = len(values)
+    return al.SignatureMap(
+        H,
+        np.zeros((2, 2, 1), dtype=np.int64),
+        [np.arange(1, n + 1, dtype=np.int64).reshape(n, 1), np.zeros((0, 1), dtype=np.int64)],
+        [np.array(values, dtype=float), np.zeros(0)],
+        p=p,
+    )
+
+
 class TestCanonicalSignature:
     def test_k2_l1_worstcase_scaling(self):
         sig = al.canonical_signature(H_GENERIC, 1, 3, mode="worstcase")
-        assert [len(t) for t in sig.transmitters] == [1, 1]
+        assert [len(v) for v in sig.values] == [1, 1]
         assert sig.scaling == float(6**16)
 
     def test_k2_l1_signature_is_one(self):
         sig = al.canonical_signature(H_GENERIC, 1, 3, mode="unit")
-        for tx in sig.transmitters:
-            assert tx[0].value == 1.0
-            assert tx[0].exponents == (0, 0, 0, 0)
+        for exps, vals in zip(sig.exponents, sig.values):
+            assert vals.tolist() == [1.0]
+            assert exps.tolist() == [[0, 0, 0, 0]]
 
     def test_k2_l2_sixteen_submessages(self):
         sig = al.canonical_signature(H_GENERIC, 2, 3, mode="unit")
-        assert [len(t) for t in sig.transmitters] == [16, 16]
+        assert [len(v) for v in sig.values] == [16, 16]
+        assert [e.shape for e in sig.exponents] == [(16, 4), (16, 4)]
 
     def test_rejects_non_generic(self):
         with pytest.raises(NonGenericChannelError):
@@ -59,12 +77,11 @@ class TestCanonicalSignature:
         sig = al.canonical_signature(H, L, 5, mode="unit")
         direct = dio.build_monomial_set(H, L)
         order = np.lexsort(direct.exponents.T[::-1])
-        for tx in sig.transmitters:
-            assert [sub.index for sub in tx] == list(range(len(direct)))
-            assert [sub.exponents for sub in tx] == [tuple(e) for e in direct.exponents[order].tolist()]
-            assert all(type(e) is int for sub in tx[:5] for e in sub.exponents)
-            got = np.array([sub.value for sub in tx]).view(np.uint64)
-            assert np.array_equal(got, direct.values[order].view(np.uint64))
+        assert len(sig.exponents) == len(sig.values) == k
+        for exps, vals in zip(sig.exponents, sig.values):
+            assert exps.dtype == np.int64 and vals.dtype == np.float64
+            assert np.array_equal(exps, direct.exponents[order])
+            assert np.array_equal(vals.view(np.uint64), direct.values[order].view(np.uint64))
 
 
 class TestExampleSignature:
@@ -135,7 +152,7 @@ class TestEquationSystem:
         sig = al.example_signature(H_EXAMPLE, p=5)
         H = np.array([[1.0, 1.0 / 1.3], [1.3, 1.0]])
         with pytest.raises(NonGenericChannelError, match="receiver 0"):
-            al.derive_equation_system(sig, H)
+            al.derive_equation_system(dataclasses.replace(sig, h=H))
 
     def test_alignment_occurs_at_l2(self):
         # some group must fuse two transmitters, otherwise nothing aligned
@@ -144,20 +161,20 @@ class TestEquationSystem:
         assert any(len(g.contributors) == 2 for rx in eq.receivers for g in rx)
 
 
-def loop_derive_equations(sig, H=None):
+def loop_derive_equations(sig):
     """Reference: dict grouping by receive exponent tuple, one EquationGroup per group."""
-    H = sig.h if H is None else np.asarray(H, dtype=float)
     receivers = []
     for m in range(sig.k):
         groups = {}
         for kk in range(sig.k):
-            gexp = sig.gain_exponents[m][kk]
-            for sub in sig.transmitters[kk]:
-                if len(sub.exponents) != len(gexp):
+            gexp = sig.gain_exponents[m][kk].tolist()
+            rows = zip(sig.exponents[kk].tolist(), sig.values[kk].tolist())
+            for i, (exps, value) in enumerate(rows):
+                if len(exps) != len(gexp):
                     raise InvalidArgumentError("signature alphabet mismatch")
-                key = tuple(a + b for a, b in zip(sub.exponents, gexp))
-                entry = groups.setdefault(key, [sub.value * H[m, kk], []])
-                entry[1].append((kk, sub.index))
+                key = tuple(a + b for a, b in zip(exps, gexp))
+                entry = groups.setdefault(key, [value * sig.h[m, kk], []])
+                entry[1].append((kk, i))
         ordered = [
             al.EquationGroup(key, val, sorted(contrib))
             for key, (val, contrib) in sorted(groups.items(), key=lambda kv: (kv[1][0], kv[0]))
@@ -181,21 +198,23 @@ def _equation_cases():
             except NonGenericChannelError:
                 continue
             found += 1
-            cases.append((sig, H))
+            cases.append(sig)
     for h1, h2 in [(1.3, 0.8), (0.61, 1.77), (1.9, 0.52)]:
         H = np.array([[1.0, h2], [h1, 1.0]])
-        cases.append((al.example_signature(H, p=5), H))
+        cases.append(al.example_signature(H, p=5))
+    # transmitter 1 silent: an empty (0, symbols) signature
+    cases.append(one_signature_map(H_GENERIC, [1.37, 1.37**2], p=5))
     return cases
 
 
 class TestEquationSystemAgainstLoop:
     """The array derivation reproduces the dict grouping bit for bit."""
 
-    @pytest.mark.parametrize("case", range(13))
+    @pytest.mark.parametrize("case", range(14))
     def test_rows_values_and_contributors(self, case):
-        sig, H = _equation_cases()[case]
-        eq = al.derive_equation_system(sig, H)
-        want = loop_derive_equations(sig, H)
+        sig = _equation_cases()[case]
+        eq = al.derive_equation_system(sig)
+        want = loop_derive_equations(sig)
         assert eq.k == len(want) == sig.k
         rows = 0
         for m, groups in enumerate(want):
@@ -212,21 +231,21 @@ class TestEquationSystemAgainstLoop:
         pairs = sorted({c for groups in want for g in groups for c in g.contributors})
         assert list(map(tuple, eq.col_keys.tolist())) == pairs
 
-    @pytest.mark.parametrize("case", range(13))
+    @pytest.mark.parametrize("case", range(14))
     def test_true_equations_are_group_sums(self, case):
-        sig, H = _equation_cases()[case]
-        eq = al.derive_equation_system(sig, H)
+        sig = _equation_cases()[case]
+        eq = al.derive_equation_system(sig)
         rng = np.random.default_rng(case)
         for shape in ((), (3,), (2, 4)):
-            w = [rng.integers(0, sig.p, size=(len(tx), *shape)) for tx in sig.transmitters]
+            w = [rng.integers(0, sig.p, size=(len(v), *shape)) for v in sig.values]
             got = al.true_equations(w, eq, sig)
-            for m, groups in enumerate(loop_derive_equations(sig, H)):
+            for m, groups in enumerate(loop_derive_equations(sig)):
                 want = np.stack([sum(w[kk][i] for kk, i in g.contributors) for g in groups])
                 assert got[m].dtype == np.int64 and np.array_equal(got[m], want)
 
     def test_alphabet_mismatch(self):
         sig = al.example_signature(H_EXAMPLE, p=5)
-        sig.transmitters[1][0] = al.Submessage(0, (1, 0, 0), 1.3)
+        sig.exponents[1] = np.array([[1, 0, 0], [2, 1, 0]], dtype=np.int64)
         for derive in (al.derive_equation_system, loop_derive_equations):
             with pytest.raises(InvalidArgumentError, match="alphabet"):
                 derive(sig)
@@ -306,7 +325,7 @@ class TestTrueEquations:
             y = al.awgn_channel(x, H_EXAMPLE, noise_variance=0.0)
             t = al.true_equations(w, eq, sig)
             for m in range(2):
-                recon = eq.scaling * sum(
+                recon = sig.scaling * sum(
                     int(v) * g.value for v, g in zip(t[m], eq.receivers[m])
                 )
                 assert y[m] == pytest.approx(recon, rel=1e-12)
@@ -338,12 +357,7 @@ class TestMlDemodulate:
     def test_single_group_reduces_to_rounding(self):
         # second transmitter silent: each receiver hears one signature only
         g = 1.37
-        sig = al.SignatureMap(
-            H_EXAMPLE,
-            (((0,), (0,)), ((0,), (0,))),
-            [[al.Submessage(0, (1,), g)], []],
-            p=5,
-        )
+        sig = one_signature_map(H_EXAMPLE, [g], p=5)
         eq = al.derive_equation_system(sig)
         for y in (-3.0, 0.2, 1.9, 3.3, 9.9):
             hat = al.ml_demodulate(np.array([y]), eq.receivers[0], 5, sig.scaling)
@@ -352,12 +366,7 @@ class TestMlDemodulate:
 
     def test_midpoint_tie_prefers_lexicographic(self):
         g = 2.0
-        sig = al.SignatureMap(
-            np.array([[1.0, 0.0], [0.0, 1.0]]),
-            (((0,), (0,)), ((0,), (0,))),
-            [[al.Submessage(0, (1,), g)], []],
-            p=5,
-        )
+        sig = one_signature_map(np.array([[1.0, 0.0], [0.0, 1.0]]), [g], p=5)
         eq = al.derive_equation_system(sig)
         hat = al.ml_demodulate(np.array([3.0]), eq.receivers[0], 5, sig.scaling)
         assert hat[0, 0] == 1  # tie between u=1 (2.0) and u=2 (4.0)
@@ -374,12 +383,7 @@ class TestMlDemodulate:
 
     def test_mitm_equals_exhaustive_on_exact_ties(self):
         g = 2.0
-        sig = al.SignatureMap(
-            np.array([[1.0, 0.0], [0.0, 1.0]]),
-            (((0,), (0,)), ((0,), (0,))),
-            [[al.Submessage(0, (1,), g)], []],
-            p=5,
-        )
+        sig = one_signature_map(np.array([[1.0, 0.0], [0.0, 1.0]]), [g], p=5)
         eq = al.derive_equation_system(sig)
         y = np.array([3.0, 5.0, 7.0])
         ex = al.ml_demodulate(y, eq.receivers[0], 5, sig.scaling, strategy="exhaustive")
@@ -472,6 +476,23 @@ class TestTightScaling:
                 ranges = [len(g.contributors) * (p - 1) for g in eq.receivers[m]]
                 sep = min(sep, dio.monomial_separation(vals, ranges, integer_shift=False))
             assert sig.scaling * sep / 2 == pytest.approx(1.2 * math.sqrt(p), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_fused_groups_widen_the_coefficient_range(self, p):
+        # the example fuses two submessages per group at receiver 1, whose
+        # equation values then range over [0, 2 (p-1)]; on this channel the
+        # minimum distance needs that wider range (with [0, p-1] on every
+        # group it would be 3.0x / 3.2x larger at p = 2 / 3)
+        H = np.array([[1.0, 1.6], [1.4, 1.0]])
+        sig = al.example_signature(H, p=p, mode="tight", c5_target=1.2)
+        eq = al.derive_equation_system(sig)
+        sep = math.inf
+        for groups in eq.receivers:
+            vals = [g.value for g in groups]
+            ranges = [len(g.contributors) * (p - 1) for g in groups]
+            sep = min(sep, dio.monomial_separation(vals, ranges, integer_shift=False))
+        assert max(len(g.contributors) for g in eq.receivers[1]) == 2
+        assert sig.scaling * sep / 2 == pytest.approx(1.2 * math.sqrt(p), rel=1e-12)
 
     @pytest.mark.parametrize("c5", [0.0, -1.0, math.nan, math.inf])
     def test_bad_c5_rejected(self, c5):

@@ -14,7 +14,7 @@ H_EXAMPLE = np.array([[1.0, 0.8], [1.3, 1.0]])
 
 def canonical_system(H, L, p):
     sig = al.canonical_signature(H, L, p, mode="unit")
-    eqsys = al.derive_equation_system(sig, H)
+    eqsys = al.derive_equation_system(sig)
     return sig, eqsys
 
 
@@ -225,7 +225,7 @@ class TestSolveLinearOnCanonicalIncidence:
         rng = np.random.default_rng(100 * k + 10 * L + p)
         sig, eqsys = generic_canonical_system(k, L, p, rng)
         sys = inv.build_incidence(eqsys)
-        w = [rng.integers(0, p, size=(len(tx), 2)) for tx in sig.transmitters]
+        w = [rng.integers(0, p, size=(len(v), 2)) for v in sig.values]
         u = [np.asarray(t) % p for t in al.true_equations(w, eqsys, sig)]
         want = full_width_solve(sys, u, eqsys)
         assert want.values is not None and want.rank == k * al.monomial_card(k, L)
@@ -258,7 +258,7 @@ class TestSolveLinearOnCanonicalIncidence:
         sig, eqsys = generic_canonical_system(3, 2, 3, rng)
         sys = inv.build_incidence(eqsys)
         assert sys.matrix.shape == (3648, 1536)
-        w = [rng.integers(0, 3, size=(len(tx), 1)) for tx in sig.transmitters]
+        w = [rng.integers(0, 3, size=(len(v), 1)) for v in sig.values]
         u = [np.asarray(t) % 3 for t in al.true_equations(w, eqsys, sig)]
         tracemalloc.start()
         try:
@@ -336,6 +336,19 @@ class TestPeel:
             for i in range(2):
                 assert res.values[(kk, i)][0] == w[kk][i]
 
+    def test_partial_canonical_signature_falls_back_to_solver(self):
+        # canonical gains, but each transmitter sends only 8 of the 16 rows of G_2
+        sig = al.canonical_signature(H_GENERIC, 2, 5, mode="unit")
+        sig = dataclasses.replace(sig, exponents=[e[:8] for e in sig.exponents],
+                                  values=[v[:8] for v in sig.values])
+        eqsys = al.derive_equation_system(sig)
+        w = [np.arange(8) % 5, np.arange(8)[::-1] % 5]
+        u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys, sig)]
+        res = inv.peel_invert(eqsys, u)
+        assert res.fallback
+        for kk in range(2):
+            assert [int(res.values[(kk, i)][0]) for i in range(8)] == w[kk].tolist()
+
     def test_stall_is_reported(self):
         sig, eqsys = canonical_system(H_GENERIC, 1, 3)
         # cripple the system: no equation hears transmitter 0 any more
@@ -367,8 +380,8 @@ def loop_peel(eqsys, u):
             for pair in g.contributors:
                 eq_of_msg.setdefault(pair, []).append(len(row_meta))
             row_meta.append(m)
-    degree = {(kk, sub.index): max(sub.exponents)
-              for kk in range(sig.k) for sub in sig.transmitters[kk]}
+    degree = {(kk, i): max(exps)
+              for kk in range(sig.k) for i, exps in enumerate(sig.exponents[kk].tolist())}
     values, remaining, rounds = {}, set(degree), 0
     while remaining:
         singles = []
@@ -412,7 +425,7 @@ class TestPeelAgainstLoop:
         rng = np.random.default_rng(70 + 10 * k + L)
         for p in (2, 3, 7):
             sig, eqsys = generic_canonical_system(k, L, p, rng)
-            w = [rng.integers(0, p, size=(len(tx), 3)) for tx in sig.transmitters]
+            w = [rng.integers(0, p, size=(len(v), 3)) for v in sig.values]
             u = [np.asarray(t) % p for t in al.true_equations(w, eqsys, sig)]
             assert_same_peel(inv.peel_invert(eqsys, u), loop_peel(eqsys, u))
             # corrupted equations: rows that disagree on a submessage
@@ -462,7 +475,7 @@ class TestInjectivity:
     def test_rank_with_the_real_rhs_matches(self, k, L, p):
         rng = np.random.default_rng(40 + k + L)
         sig, eqsys = canonical_system(rng.uniform(0.5, 2.0, size=(k, k)), L, p)
-        w = [rng.integers(0, p, size=(len(tx),)) for tx in sig.transmitters]
+        w = [rng.integers(0, p, size=(len(v),)) for v in sig.values]
         u = [np.asarray(t) % p for t in al.true_equations(w, eqsys, sig)]
         solve = inv.solve_linear(inv.build_incidence(eqsys), u, eqsys)
         assert solve.rank == inv.injectivity_check(eqsys).rank == k * al.monomial_card(k, L)

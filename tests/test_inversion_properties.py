@@ -22,9 +22,9 @@ def peel_blocks(draw):
         sig = al.canonical_signature(H, L, p, mode="unit")
     except NonGenericChannelError:
         hypothesis.assume(False)
-    eqsys = al.derive_equation_system(sig, H)
+    eqsys = al.derive_equation_system(sig)
     cols = draw(st.integers(1, 6))
-    w = [rng.integers(0, p, size=(len(tx), cols)) for tx in sig.transmitters]
+    w = [rng.integers(0, p, size=(len(v), cols)) for v in sig.values]
     u = [t % p for t in al.true_equations(w, eqsys, sig)]
     # corrupt some equations: peeling must still treat columns independently
     rate = draw(st.sampled_from([0.0, 0.1, 0.5]))
@@ -58,9 +58,9 @@ def disagreeing_rows(draw):
         sig = al.canonical_signature(H, L, p, mode="unit")
     except NonGenericChannelError:
         hypothesis.assume(False)
-    eqsys = al.derive_equation_system(sig, H)
+    eqsys = al.derive_equation_system(sig)
     cols = draw(st.integers(1, 3))
-    w = [rng.integers(0, p, size=(len(tx), cols)) for tx in sig.transmitters]
+    w = [rng.integers(0, p, size=(len(v), cols)) for v in sig.values]
     u = [t % p for t in al.true_equations(w, eqsys, sig)]
     # shift one row: it now disagrees with every other row that reads its submessages
     m = draw(st.integers(0, k - 1))

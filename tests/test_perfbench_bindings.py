@@ -1,11 +1,14 @@
 """The benchmark tracer's bindings still resolve in caf.
 
-``perfbench/tracer.py`` wraps caf's functions by name and its harness
+``perfbench/tracer.py`` wraps caf's functions by name, its work-counter
+hooks read the wrapped call's arguments by parameter name, and its harness
 fails on public functions it does not name. This module loads the tracer
-read-only by path, so a rename or a new public function fails here, in
-the tier-1 suite, and not only in the slow harness self-test.
+read-only by path, so a rename, a dropped parameter or a new public
+function fails here, in the tier-1 suite, and not only in the slow harness
+self-test.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -38,3 +41,37 @@ def test_every_layer_function_resolves(tracer):
 
 def test_every_public_function_is_traced(tracer):
     assert tracer.unmapped_public_functions() == []
+
+
+def hook_argument_reads():
+    """(module, function, hook, name) for every ``a["name"]`` that a ``HOOKS`` entry reads.
+
+    The tracer source is parsed, not run: a hook is ``hook(tracer, span,
+    arguments, result)``, and a read is a string subscript of its third
+    parameter.
+    """
+    tree = ast.parse(TRACER_PATH.read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (hooks,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets)]
+    reads = []
+    for key, value in zip(hooks.keys, hooks.values):
+        modname, fname = ast.literal_eval(key)
+        hook = defs[value.id]
+        arguments = hook.args.args[2].arg
+        for node in ast.walk(hook):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id == arguments and isinstance(node.slice, ast.Constant)):
+                reads.append((modname, fname, value.id, node.slice.value))
+    return reads
+
+
+def test_every_hook_reads_parameters_of_the_function_it_hooks():
+    reads = hook_argument_reads()
+    assert len(reads) >= 10  # the parse found the hooks' argument reads
+    missing = []
+    for modname, fname, hook, name in reads:
+        function = getattr(importlib.import_module(modname), fname)
+        if name not in inspect.signature(function).parameters:
+            missing.append(f"{hook} reads {name!r}, not a parameter of {modname}.{fname}")
+    assert missing == []

@@ -427,16 +427,10 @@ class TestSweepAndSlope:
 
 class TestChannelMatrix:
     def test_requires_square_finite(self):
-        with pytest.raises(InvalidArgumentError):
-            rates.ChannelMatrix(np.ones((2, 3)))
-        with pytest.raises(InvalidArgumentError):
-            rates.ChannelMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-    def test_generic_flag(self):
-        rng = np.random.default_rng(21)
-        assert rates.ChannelMatrix(rng.uniform(0.5, 2.0, size=(2, 2))).is_generic()
-        assert not rates.ChannelMatrix(np.ones((2, 2))).is_generic()
-        assert not rates.ChannelMatrix(np.array([[1.0, 0.0], [2.0, 1.0]])).is_generic()
+        with pytest.raises(InvalidArgumentError, match="channel matrix must be square"):
+            rates.mimo_upper_bound(np.ones((2, 3)), 1.0)
+        with pytest.raises(InvalidArgumentError, match="channel gains must be finite"):
+            rates.mimo_upper_bound(np.array([[1.0, np.nan], [0.0, 1.0]]), 1.0)
 
 
 class TestReducedSearchStress:
