@@ -7,17 +7,20 @@ submessages whose receive monomials coincide fuse into one integer
 equation. Grouping is exact on exponent tuples (never on float values);
 floats enter only through signal distances.
 
-Scaling modes:
+The signature constructors return B = 1; ``caf align`` sets
+``SignatureMap.scaling`` per prime from the equation system it derives:
 
-* ``worstcase``: B = (Kp)^|G_{L+1}|, the conservative constant that makes
-  the half-minimum-distance argument work for every generic channel. Even
-  K=2, L=1 then needs powers around 1e25, so this mode is for bound
-  verification, not simulation.
-* ``tight``: B = 2 c5 sqrt(p) / sep, where sep is the measured minimum
-  signal-point distance (brute force over the actual receive monomials at
-  unit scaling). The demodulation margin is then exactly c5 sqrt(p), so
-  the per-symbol error obeys the same exp(-c5^2 p / 2) tail with a
-  constant calibrated per instance instead of assumed.
+* ``worstcase``: B = (Kp)^|G_{L+1}| (``_worstcase_scaling``), the
+  conservative constant that makes the half-minimum-distance argument work
+  for every generic channel. Even K=2, L=1 then needs powers around 1e25,
+  so this mode is for bound verification, not simulation.
+* ``tight``: B = 2 c5 sqrt(p) / sep (``tight_scaling_factor``), where sep
+  is the measured minimum signal-point distance (brute force over the
+  actual receive monomials at unit scaling). The demodulation margin is
+  then exactly c5 sqrt(p), so the per-symbol error obeys the same
+  exp(-c5^2 p / 2) tail with a constant calibrated per instance instead of
+  assumed.
+* ``unit``: B = 1, for structural work and noiseless pipelines.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ class EquationSystem:
     cols: np.ndarray  # (nonzeros,) int64, positions in col_keys
     col_keys: np.ndarray  # (columns, 2) int64 (k, i), sorted
     p: int
-    signature: "SignatureMap | None" = None
+    signature: SignatureMap
 
     @property
     def k(self) -> int:
@@ -137,20 +140,12 @@ def _canonical_gain_exponents(k: int) -> np.ndarray:
     return np.eye(k * k, dtype=np.int64).reshape(k, k, k * k)
 
 
-def canonical_signature(
-    H,
-    L: int,
-    p: int,
-    mode: str = "worstcase",
-    c5_target: float = 1.0,
-) -> SignatureMap:
-    """One submessage per monomial of G_L at every transmitter.
+def canonical_signature(H, L: int, p: int) -> SignatureMap:
+    """One submessage per monomial of G_L at every transmitter, at B = 1.
 
-    Rejects channels whose G_{L+1} monomials collide (non-generic). In
-    ``tight`` mode the scaling is calibrated from the measured receive
-    separation so the demod margin is c5_target * sqrt(p); ``worstcase``
-    uses the channel-independent constant, ``unit`` leaves B = 1 for
-    structural work (equation systems, incidence ranks).
+    Rejects channels whose G_{L+1} monomials collide (non-generic). The
+    scaling is the caller's: ``tight_scaling_factor`` of the derived
+    equation system, or ``_worstcase_scaling``.
     """
     H = np.asarray(H, dtype=float)
     k = H.shape[0]
@@ -172,24 +167,11 @@ def canonical_signature(
     order = np.lexsort(exps.T[::-1])
     exps, vals = exps[order], vals[order]
     # every transmitter uses all of G_L, so they share the two arrays
-    sig = SignatureMap(H, _canonical_gain_exponents(k), [exps] * k, [vals] * k, p, 1.0, L)
-    if mode == "worstcase":
-        card = monomial_card(k, L + 1)
-        log2_b = card * math.log2(k * p)
-        if log2_b > 1020.0:
-            raise NumericRangeError(
-                f"worst-case scaling needs 2^{log2_b:.0f}, beyond float range"
-            )
-        sig.scaling = float((k * p) ** card)
-    elif mode == "tight":
-        sig.scaling = tight_scaling_factor(derive_equation_system(sig), c5_target)
-    elif mode != "unit":
-        raise InvalidArgumentError(f"unknown scaling mode {mode!r}")
-    return sig
+    return SignatureMap(H, _canonical_gain_exponents(k), [exps] * k, [vals] * k, p, 1.0, L)
 
 
-def example_signature(H, p: int = 5, mode: str = "unit", c5_target: float = 1.0) -> SignatureMap:
-    """The two-user alignment example: split each message in two.
+def example_signature(H, p: int = 5) -> SignatureMap:
+    """The two-user alignment example: split each message in two, at B = 1.
 
     Requires H = [[1, h2], [h1, 1]]. Transmitter 1 uses signatures
     {1, h1 h2}, transmitter 2 uses {h1, h1^2 h2}; receiver 1 then sees
@@ -218,12 +200,7 @@ def example_signature(H, p: int = 5, mode: str = "unit", c5_target: float = 1.0)
     exponents = [np.array([[0, 0], [1, 1]], dtype=np.int64),
                  np.array([[1, 0], [2, 1]], dtype=np.int64)]
     values = [np.array([1.0, h1 * h2]), np.array([h1, h1 * h1 * h2])]
-    sig = SignatureMap(H, gain_exp, exponents, values, p)
-    if mode == "tight":
-        sig.scaling = tight_scaling_factor(derive_equation_system(sig), c5_target)
-    elif mode != "unit":
-        raise InvalidArgumentError(f"unsupported scaling mode {mode!r} for the example")
-    return sig
+    return SignatureMap(H, gain_exp, exponents, values, p)
 
 
 def derive_equation_system(sig: SignatureMap) -> EquationSystem:
@@ -295,6 +272,17 @@ def tight_scaling_factor(eqsys: EquationSystem, c5_target: float = 1.0) -> float
     return 2.0 * c5_target * math.sqrt(p) / sep
 
 
+def _worstcase_scaling(k: int, l: int, p: int) -> float:
+    """B = (Kp)^|G_{L+1}|, the channel-independent worst-case constant."""
+    card = monomial_card(k, l + 1)
+    log2_b = card * math.log2(k * p)
+    if log2_b > 1020.0:
+        raise NumericRangeError(
+            f"worst-case scaling needs 2^{log2_b:.0f}, beyond float range"
+        )
+    return float((k * p) ** card)
+
+
 def _as_submessage_arrays(submessages, sig: SignatureMap):
     if len(submessages) != sig.k:
         raise InvalidArgumentError("need one submessage array per transmitter")
@@ -334,10 +322,13 @@ def awgn_channel(x, H, rng=None, noise_variance: float = 1.0) -> np.ndarray:
     return y
 
 
-def true_equations(submessages, eqsys: EquationSystem, sig: SignatureMap) -> list:
-    """Integer sum of contributors per receive group (no modular reduction)."""
+def true_equations(submessages, eqsys: EquationSystem) -> list:
+    """Integer sum of contributors per receive group (no modular reduction).
+
+    ``submessages`` are checked against ``eqsys.signature``.
+    """
     # column c is the signature's row c over all transmitters in turn
-    by_col = np.concatenate(_as_submessage_arrays(submessages, sig))
+    by_col = np.concatenate(_as_submessage_arrays(submessages, eqsys.signature))
     bounds = eqsys._row_bounds()
     count = np.diff(bounds)
     sums = np.zeros((len(count),) + by_col.shape[1:], dtype=np.int64)
@@ -362,17 +353,17 @@ def ml_demodulate(
     scaling: float,
     strategy: str = "exhaustive",
     budget: int = DEMOD_BUDGET,
-    oracle_values=None,
 ) -> np.ndarray:
     """Nearest signal point: argmin over tuples u of |y - B sum u_g g_g|.
 
     Group g ranges over [0, c_g (p-1)] with c_g the contributor count.
     Ties go to the lexicographically smallest tuple. Strategies:
-    ``exhaustive`` (full enumeration), ``mitm`` (half-split with sorted
+    ``exhaustive`` (full enumeration) and ``mitm`` (half-split with sorted
     probing over the same floats; identical output unless rounding moves
     the nearest point out of the probe window, which takes signal values
-    near 2^52), ``oracle`` (returns the injected true equations, for
-    pipeline tests that bypass demodulation).
+    near 2^52). A run that bypasses demodulation (``caf align``'s
+    ``demod_strategy=oracle``) uses the true equations and does not call
+    this function.
 
     Both searches run over chunks of symbols, so every temporary holds at
     most ``DEMOD_CHUNK_CELLS`` cells, or one symbol's row when a row is
@@ -384,10 +375,6 @@ def ml_demodulate(
     ``InvalidArgumentError``.
     """
     y = np.atleast_1d(np.asarray(y_m, dtype=float))
-    if strategy == "oracle":
-        if oracle_values is None:
-            raise InvalidArgumentError("oracle strategy needs oracle_values")
-        return np.asarray(oracle_values, dtype=np.int64)
     if strategy not in ("exhaustive", "mitm"):
         raise InvalidArgumentError(f"unknown demod strategy {strategy!r}")
     if not (np.all(np.isfinite(y)) and math.isfinite(scaling)):

@@ -57,14 +57,14 @@ class RunConfig:
         allowed = EXPERIMENT_KEYS[self.experiment]
         unknown = sorted(set(self.params) - allowed)
         if unknown:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"unknown config keys for {self.experiment}: {', '.join(unknown)} "
                 f"(allowed: {', '.join(sorted(allowed))})"
             )
         listed = sorted(k for k, v in self.params.items()
                         if isinstance(v, list) and k not in LIST_KEYS)
         if listed:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"config keys {', '.join(listed)} take one value, got a list "
                 f"(only {', '.join(sorted(LIST_KEYS))} take lists)"
             )
@@ -98,7 +98,7 @@ def parse_config(path: str) -> dict:
                 continue
             key, sep, value = line.partition("=")
             if not (sep and key.strip() and value.strip()):
-                raise ValueError(f"bad config line: {line!r}")
+                raise InvalidArgumentError(f"bad config line: {line!r}")
             out[key.strip().replace("-", "_")] = _parse_value(value)
     return out
 
@@ -242,20 +242,7 @@ def cmd_dof(config: dict, outdir: str) -> str:
 # ---------------------------------------------------------------- align
 
 
-def _build_signature(config: dict, H, p: int, c5: float):
-    geometry = config.get("geometry", "example")
-    if geometry == "example":
-        mode = "tight" if float(config.get("noise_variance", 0.0)) > 0 else "unit"
-        return alignment.example_signature(H, p=p, mode=mode, c5_target=c5)
-    if geometry == "canonical":
-        return alignment.canonical_signature(H, int(config.get("l", 1)), p,
-                                             mode=config.get("scaling_mode", "tight"),
-                                             c5_target=c5)
-    raise ValueError(f"unknown geometry {geometry!r}")
-
-
-def _align_channel(config: dict, seed: int):
-    geometry = config.get("geometry", "example")
+def _align_channel(config: dict, seed: int, geometry: str, l: int):
     rng = child_rng(seed, 99)
     if geometry == "example":
         h1, h2 = rng.uniform(0.5, 2.0, size=2)
@@ -264,7 +251,7 @@ def _align_channel(config: dict, seed: int):
     for _ in range(64):
         H = rng.uniform(0.5, 2.0, size=(k, k))
         try:
-            alignment.canonical_signature(H, int(config.get("l", 1)), 2, mode="unit")
+            alignment.canonical_signature(H, l, 2)
             return H
         except NonGenericChannelError:
             continue
@@ -287,7 +274,31 @@ def cmd_align(config: dict, outdir: str) -> str:
     message_len = int(config.get("message_len", 4))
     distance = int(config.get("code_distance", 3))
     corrupt = int(config.get("inject_corruptions", 0))
-    H = _align_channel(config, seed)
+    geometry = config.get("geometry", "example")
+    l = int(config.get("l", 1))
+    # B is a run policy: the constructors return B = 1 and each prime's
+    # scaling is set below from the equation system derived for it
+    if geometry == "example":
+        scaling_mode = "tight" if noise_var > 0 else "unit"
+    elif geometry == "canonical":
+        scaling_mode = config.get("scaling_mode", "tight")
+        if scaling_mode not in ("tight", "worstcase", "unit"):
+            raise InvalidArgumentError(f"unknown scaling mode {scaling_mode!r}")
+    else:
+        raise InvalidArgumentError(f"unknown geometry {geometry!r}")
+    code_file = config.get("code_file")
+    if code_file:
+        with open(code_file, "r", encoding="utf-8") as fh:
+            stored = fpcode.GeneratorMatrix.from_text(fh.read())
+        wrong = [p for p in p_list if p != stored.p]
+        if wrong:
+            raise InvalidArgumentError(f"stored code is over F_{stored.p}, run wants p={wrong[0]}")
+        if fpcode.min_distance(stored) == 0:
+            raise InvalidArgumentError(
+                f"stored code {code_file} is not injective: a nonzero message "
+                "encodes to the zero word"
+            )
+    H = _align_channel(config, seed, geometry, l)
     header = ["schema_version", "seed", "row_seed", "geometry", "k", "l", "p",
               "t_len", "trials", "noise_variance", "c5", "strategy",
               "log2_scaling", "power_mean", "demod_symbol_errors",
@@ -295,22 +306,17 @@ def cmd_align(config: dict, outdir: str) -> str:
               "blocks", "achievable_rate_eps0"]
     rows = []
     for pi, p in enumerate(p_list):
-        sig = _build_signature(config, H, p, c5)
-        eqsys = alignment.derive_equation_system(sig)
-        code_file = config.get("code_file")
-        if code_file:
-            with open(code_file, "r", encoding="utf-8") as fh:
-                code = fpcode.GeneratorMatrix.from_text(fh.read())
-            if code.p != p:
-                raise ValueError(f"stored code is over F_{code.p}, run wants p={p}")
-            if fpcode.min_distance(code) == 0:
-                raise InvalidArgumentError(
-                    f"stored code {code_file} is not injective: a nonzero message "
-                    "encodes to the zero word"
-                )
+        if geometry == "example":
+            sig = alignment.example_signature(H, p=p)
         else:
-            code = fpcode.gv_search(p, t_len, distance, seed=derive_seed(seed, pi, 0),
-                                    message_len=message_len)
+            sig = alignment.canonical_signature(H, l, p)
+        eqsys = alignment.derive_equation_system(sig)
+        if scaling_mode == "tight":
+            sig.scaling = alignment.tight_scaling_factor(eqsys, c5)
+        elif scaling_mode == "worstcase":
+            sig.scaling = alignment._worstcase_scaling(sig.k, l, p)
+        code = stored if code_file else fpcode.gv_search(
+            p, t_len, distance, seed=derive_seed(seed, pi, 0), message_len=message_len)
         t_len = code.t
         with open(os.path.join(outdir, f"code_p{p}.txt"), "w", encoding="utf-8") as fh:
             fh.write(code.to_text())
@@ -321,7 +327,7 @@ def cmd_align(config: dict, outdir: str) -> str:
         # achievable_rate(K, L, p, 0) for canonical signatures
         rate0 = sig.submessage_count() * math.log2(p)
         rows.append([SCHEMA_VERSION, seed, derive_seed(seed, pi, 1),
-                     config.get("geometry", "example"), sig.k,
+                     geometry, sig.k,
                      l_eff, p, t_len, trials, noise_var, c5, strategy,
                      math.log2(sig.scaling),
                      stats["power_mean"], stats["demod_symbol_errors"],
@@ -347,7 +353,7 @@ def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corru
     power_mean = float(np.mean(x * x))
     noise_rng = child_rng(seed, 1)
     y = alignment.awgn_channel(x, H, noise_rng, noise_variance=noise_var)
-    truth = alignment.true_equations(flat, eqsys, sig)
+    truth = alignment.true_equations(flat, eqsys)
     demod_symbol_errors = 0
     demod_symbols = 0
     equation_block_errors = 0
@@ -356,8 +362,8 @@ def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corru
     corrupt_rng = child_rng(seed, 2)
     for m in range(k):
         if strategy == "oracle":
-            hat = alignment.ml_demodulate(y[m], eqsys.receivers[m], p, sig.scaling,
-                                          strategy="oracle", oracle_values=truth[m])
+            # demodulation bypassed: the receiver gets the true equations
+            hat = truth[m]
         else:
             hat = alignment.ml_demodulate(y[m], eqsys.receivers[m], p, sig.scaling,
                                           strategy=strategy)
@@ -375,7 +381,7 @@ def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corru
     # outer decode, one batched call per receiver over all its groups. The
     # code is linear and injective, so a true equation's message is the sum
     # of its contributors' messages mod p.
-    true_msgs = alignment.true_equations([np.stack(tx) for tx in messages], eqsys, sig)
+    true_msgs = alignment.true_equations([np.stack(tx) for tx in messages], eqsys)
     u_msgs = []
     for m in range(k):
         n_groups = decoded_equations[m].shape[0]
@@ -444,14 +450,14 @@ def cmd_invert(config: dict, outdir: str) -> str:
     for s in range(samples):
         H = rng.uniform(0.5, 2.0, size=(k, k))
         try:
-            sig = alignment.canonical_signature(H, l, p, mode="unit")
+            sig = alignment.canonical_signature(H, l, p)
         except NonGenericChannelError:
             rejected += 1
             continue
         eqsys = alignment.derive_equation_system(sig)
         w = [child_rng(seed, s, kk).integers(0, p, size=(len(sig.values[kk]), 1))
              for kk in range(k)]
-        u = [t % p for t in alignment.true_equations(w, eqsys, sig)]
+        u = [t % p for t in alignment.true_equations(w, eqsys)]
         peel = inversion.peel_invert(eqsys, u)
         incidence = inversion.build_incidence(eqsys)
         solve = inversion.solve_linear(incidence, u, eqsys)

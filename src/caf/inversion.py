@@ -178,7 +178,7 @@ def solve_linear(sys: IncidenceSystem, u, eqsys: EquationSystem | None = None) -
 
 def _is_canonical(eqsys: EquationSystem) -> bool:
     sig = eqsys.signature
-    if sig is None or sig.l is None:
+    if sig.l is None:
         return False
     full = sig.l ** (sig.k * sig.k)
     return (np.array_equal(sig.gain_exponents, _canonical_gain_exponents(sig.k))

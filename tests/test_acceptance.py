@@ -326,7 +326,7 @@ def test_criterion_4_noiseless_canonical_primes():
     H = rng.uniform(0.5, 2.0, size=(2, 2))
     totals = {}
     for p in (3, 5, 7):
-        sig = al.canonical_signature(H, 1, p, mode="unit")
+        sig = al.canonical_signature(H, 1, p)
         eqsys = al.derive_equation_system(sig)
         code = fpcode.gv_search(p, 15, 3, seed=derive_seed(SEED, 60, p), message_len=3)
         stats = cafcli._run_alignment_block(sig, eqsys, code, H, trials=300,
@@ -347,12 +347,13 @@ def demod_error_rates():
     n = 10**4
     out = {}
     for p in (3, 5, 7):
-        sig = al.canonical_signature(H, 1, p, mode="tight", c5_target=c5)
+        sig = al.canonical_signature(H, 1, p)
         eqsys = al.derive_equation_system(sig)
+        sig.scaling = al.tight_scaling_factor(eqsys, c5)
         w = [child_rng(SEED, 8, p, kk).integers(0, p, size=(1, n)) for kk in range(2)]
         x = al.modulate(w, sig)
         y = al.awgn_channel(x, H, rng=child_rng(SEED, 9, p), noise_variance=1.0)
-        truth = al.true_equations(w, eqsys, sig)
+        truth = al.true_equations(w, eqsys)
         errs = np.zeros(n, dtype=bool)
         for m in range(2):
             hat = al.ml_demodulate(y[m], eqsys.receivers[m], p, sig.scaling)
@@ -405,7 +406,7 @@ def _inversion_batch(k: int, l: int, p: int, count: int, stream: int):
         tried += 1
         H = rng.uniform(0.5, 2.0, size=(k, k))
         try:
-            sig = al.canonical_signature(H, l, p, mode="unit")
+            sig = al.canonical_signature(H, l, p)
         except NonGenericChannelError:
             continue
         eqsys = al.derive_equation_system(sig)
@@ -413,7 +414,7 @@ def _inversion_batch(k: int, l: int, p: int, count: int, stream: int):
         if not report.injective:
             return False, f"rank {report.rank} != {report.expected_rank} at instance {tried}"
         w = [rng.integers(0, p, size=(len(v),)) for v in sig.values]
-        u = [np.asarray(t) % p for t in al.true_equations(w, eqsys, sig)]
+        u = [np.asarray(t) % p for t in al.true_equations(w, eqsys)]
         peel = inv.peel_invert(eqsys, u)
         solve = inv.solve_linear(inv.build_incidence(eqsys), u, eqsys)
         if solve.values is None:

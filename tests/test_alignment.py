@@ -36,20 +36,37 @@ def one_signature_map(H, values, p):
     )
 
 
+def worstcase_signature(H, L, p):
+    """The canonical map at the worst-case B that ``caf align`` sets for ``scaling_mode=worstcase``."""
+    sig = al.canonical_signature(H, L, p)
+    sig.scaling = al._worstcase_scaling(sig.k, L, p)
+    return sig
+
+
+def tight_signature(sig, c5=1.0):
+    """``sig`` at the tight B that ``caf align`` sets from the derived equation system."""
+    sig.scaling = al.tight_scaling_factor(al.derive_equation_system(sig), c5)
+    return sig
+
+
 class TestCanonicalSignature:
+    def test_constructors_return_unit_scaling(self):
+        assert al.canonical_signature(H_GENERIC, 1, 3).scaling == 1.0
+        assert al.example_signature(H_EXAMPLE, p=5).scaling == 1.0
+
     def test_k2_l1_worstcase_scaling(self):
-        sig = al.canonical_signature(H_GENERIC, 1, 3, mode="worstcase")
+        sig = worstcase_signature(H_GENERIC, 1, 3)
         assert [len(v) for v in sig.values] == [1, 1]
         assert sig.scaling == float(6**16)
 
     def test_k2_l1_signature_is_one(self):
-        sig = al.canonical_signature(H_GENERIC, 1, 3, mode="unit")
+        sig = al.canonical_signature(H_GENERIC, 1, 3)
         for exps, vals in zip(sig.exponents, sig.values):
             assert vals.tolist() == [1.0]
             assert exps.tolist() == [[0, 0, 0, 0]]
 
     def test_k2_l2_sixteen_submessages(self):
-        sig = al.canonical_signature(H_GENERIC, 2, 3, mode="unit")
+        sig = al.canonical_signature(H_GENERIC, 2, 3)
         assert [len(v) for v in sig.values] == [16, 16]
         assert [e.shape for e in sig.exponents] == [(16, 4), (16, 4)]
 
@@ -59,22 +76,18 @@ class TestCanonicalSignature:
 
     def test_rejects_composite_p(self):
         with pytest.raises(InvalidArgumentError, match="6 is not prime"):
-            al.canonical_signature(H_GENERIC, 1, 6, mode="tight")
+            al.canonical_signature(H_GENERIC, 1, 6)
 
-    def test_rejects_bad_mode_and_l(self):
-        with pytest.raises(InvalidArgumentError, match="degree bound L"):
-            al.canonical_signature(H_GENERIC, 0, 5, mode="tight")
-        with pytest.raises(InvalidArgumentError, match="unknown scaling mode 'loose'"):
-            al.canonical_signature(H_GENERIC, 1, 5, mode="loose")
+    def test_rejects_bad_l(self):
         for L in (0, -1):
             with pytest.raises(InvalidArgumentError, match="degree bound L must be >= 1"):
-                al.canonical_signature(H_GENERIC, L, 5, mode="unit")
+                al.canonical_signature(H_GENERIC, L, 5)
 
     @pytest.mark.parametrize("k, L", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_submessages_are_g_l_bit_for_bit(self, k, L):
         # G_L is read off G_{L+1}; it must equal a direct build of G_L
         H = np.random.default_rng(60 + 10 * k + L).uniform(0.5, 2.0, size=(k, k))
-        sig = al.canonical_signature(H, L, 5, mode="unit")
+        sig = al.canonical_signature(H, L, 5)
         direct = dio.build_monomial_set(H, L)
         order = np.lexsort(direct.exponents.T[::-1])
         assert len(sig.exponents) == len(sig.values) == k
@@ -129,7 +142,7 @@ class TestExampleSignature:
 
 class TestEquationSystem:
     def test_canonical_k2_l1_groups(self):
-        sig = al.canonical_signature(H_GENERIC, 1, 3, mode="unit")
+        sig = al.canonical_signature(H_GENERIC, 1, 3)
         eq = al.derive_equation_system(sig)
         for m in range(2):
             values = sorted(g.value for g in eq.receivers[m])
@@ -138,7 +151,7 @@ class TestEquationSystem:
                 assert len(g.contributors) == 1
 
     def test_canonical_k2_l2_group_bounds(self):
-        sig = al.canonical_signature(H_GENERIC, 2, 5, mode="unit")
+        sig = al.canonical_signature(H_GENERIC, 2, 5)
         eq = al.derive_equation_system(sig)
         for m in range(2):
             assert len(eq.receivers[m]) <= 32
@@ -156,7 +169,7 @@ class TestEquationSystem:
 
     def test_alignment_occurs_at_l2(self):
         # some group must fuse two transmitters, otherwise nothing aligned
-        sig = al.canonical_signature(H_GENERIC, 2, 5, mode="unit")
+        sig = al.canonical_signature(H_GENERIC, 2, 5)
         eq = al.derive_equation_system(sig)
         assert any(len(g.contributors) == 2 for rx in eq.receivers for g in rx)
 
@@ -194,7 +207,7 @@ def _equation_cases():
         while found < 2:
             H = rng.uniform(0.5, 2.0, size=(k, k))
             try:
-                sig = al.canonical_signature(H, L, 3, mode="unit")
+                sig = al.canonical_signature(H, L, 3)
             except NonGenericChannelError:
                 continue
             found += 1
@@ -238,7 +251,7 @@ class TestEquationSystemAgainstLoop:
         rng = np.random.default_rng(case)
         for shape in ((), (3,), (2, 4)):
             w = [rng.integers(0, sig.p, size=(len(v), *shape)) for v in sig.values]
-            got = al.true_equations(w, eq, sig)
+            got = al.true_equations(w, eq)
             for m, groups in enumerate(loop_derive_equations(sig)):
                 want = np.stack([sum(w[kk][i] for kk, i in g.contributors) for g in groups])
                 assert got[m].dtype == np.int64 and np.array_equal(got[m], want)
@@ -258,7 +271,7 @@ class TestModulate:
         assert not x.any()
 
     def test_k2_l1_scalar_signature(self):
-        sig = al.canonical_signature(H_GENERIC, 1, 3, mode="worstcase")
+        sig = worstcase_signature(H_GENERIC, 1, 3)
         x = al.modulate([[1], [2]], sig)
         assert x[0] == sig.scaling and x[1] == 2 * sig.scaling
 
@@ -304,14 +317,14 @@ class TestTrueEquations:
     def test_zero_messages(self):
         sig = al.example_signature(H_EXAMPLE, p=5)
         eq = al.derive_equation_system(sig)
-        t = al.true_equations([np.zeros(2, dtype=int)] * 2, eq, sig)
+        t = al.true_equations([np.zeros(2, dtype=int)] * 2, eq)
         assert not any(v.any() for v in t)
 
     def test_example_equations(self):
         sig = al.example_signature(H_EXAMPLE, p=5)
         eq = al.derive_equation_system(sig)
         a, b, c, d = 1, 2, 3, 4
-        t = al.true_equations([[a, b], [c, d]], eq, sig)
+        t = al.true_equations([[a, b], [c, d]], eq)
         assert list(t[0]) == [a, b + c, d]
         assert list(t[1]) == [a + c, b + d]
 
@@ -323,7 +336,7 @@ class TestTrueEquations:
             w = [rng.integers(0, 5, size=2) for _ in range(2)]
             x = al.modulate(w, sig)
             y = al.awgn_channel(x, H_EXAMPLE, noise_variance=0.0)
-            t = al.true_equations(w, eq, sig)
+            t = al.true_equations(w, eq)
             for m in range(2):
                 recon = sig.scaling * sum(
                     int(v) * g.value for v, g in zip(t[m], eq.receivers[m])
@@ -336,7 +349,7 @@ class TestTrueEquations:
         rng = np.random.default_rng(2)
         for _ in range(100):
             w = [rng.integers(0, 5, size=2) for _ in range(2)]
-            for m, vals in enumerate(al.true_equations(w, eq, sig)):
+            for m, vals in enumerate(al.true_equations(w, eq)):
                 for v, g in zip(vals, eq.receivers[m]):
                     assert 0 <= v <= len(g.contributors) * 4
 
@@ -349,7 +362,7 @@ class TestMlDemodulate:
         w = [rng.integers(0, 3, size=(2, 1000)) for _ in range(2)]
         x = al.modulate(w, sig)
         y = al.awgn_channel(x, H_EXAMPLE, noise_variance=0.0)
-        truth = al.true_equations(w, eq, sig)
+        truth = al.true_equations(w, eq)
         for m in range(2):
             hat = al.ml_demodulate(y[m], eq.receivers[m], 3, sig.scaling)
             assert np.array_equal(hat, truth[m])
@@ -390,16 +403,15 @@ class TestMlDemodulate:
         mm = al.ml_demodulate(y, eq.receivers[0], 5, sig.scaling, strategy="mitm")
         assert np.array_equal(ex, mm)
 
-    def test_oracle_injection(self):
+    def test_oracle_is_not_a_demod_strategy(self):
+        # caf align bypasses demodulation itself; the demodulator has no oracle
         sig = al.example_signature(H_EXAMPLE, p=3)
         eq = al.derive_equation_system(sig)
-        truth = np.array([[1], [2], [0]])
-        hat = al.ml_demodulate(np.array([0.0]), eq.receivers[0], 3, sig.scaling,
-                               strategy="oracle", oracle_values=truth)
-        assert np.array_equal(hat, truth)
+        with pytest.raises(InvalidArgumentError, match="unknown demod strategy 'oracle'"):
+            al.ml_demodulate(np.array([0.0]), eq.receivers[0], 3, sig.scaling, strategy="oracle")
 
     def test_budget_names_escape_hatch(self):
-        sig = al.canonical_signature(H_GENERIC, 2, 5, mode="unit")
+        sig = al.canonical_signature(H_GENERIC, 2, 5)
         eq = al.derive_equation_system(sig)
         with pytest.raises(ResourceLimitError, match="oracle"):
             al.ml_demodulate(np.array([0.0]), eq.receivers[0], 5, 1.0, budget=100)
@@ -407,7 +419,7 @@ class TestMlDemodulate:
 
 class TestWorstCaseModeContainment:
     def test_demod_exact_when_noise_below_half_min_distance(self):
-        sig = al.canonical_signature(H_GENERIC, 1, 3, mode="worstcase")
+        sig = worstcase_signature(H_GENERIC, 1, 3)
         eq = al.derive_equation_system(sig)
         # brute-force minimum distance between signal points, scaled by B
         half_min = math.inf
@@ -423,7 +435,7 @@ class TestWorstCaseModeContainment:
         z = rng.standard_normal((2, trials))
         assert np.all(np.abs(z) < half_min)  # worst-case margin is astronomical
         y = H_GENERIC @ x + z
-        truth = al.true_equations(w, eq, sig)
+        truth = al.true_equations(w, eq)
         for m in range(2):
             hat = al.ml_demodulate(y[m], eq.receivers[m], 3, sig.scaling)
             assert np.array_equal(hat, truth[m])
@@ -453,7 +465,7 @@ class TestPowerAndErrorBounds:
             al.power_bound(3, 2, 3)
 
     def test_modulated_power_within_worstcase_bound(self):
-        sig = al.canonical_signature(H_GENERIC, 1, 3, mode="worstcase")
+        sig = worstcase_signature(H_GENERIC, 1, 3)
         bound = al.power_bound(2, 1, 3, H_GENERIC)
         rng = np.random.default_rng(6)
         w = [rng.integers(0, 3, size=(1, 500)) for _ in range(2)]
@@ -468,7 +480,7 @@ class TestPowerAndErrorBounds:
 class TestTightScaling:
     def test_margin_equals_c5_sqrt_p(self):
         for p in (3, 5, 7):
-            sig = al.canonical_signature(H_GENERIC, 1, p, mode="tight", c5_target=1.2)
+            sig = tight_signature(al.canonical_signature(H_GENERIC, 1, p), 1.2)
             eq = al.derive_equation_system(sig)
             sep = math.inf
             for m in range(2):
@@ -484,7 +496,7 @@ class TestTightScaling:
         # minimum distance needs that wider range (with [0, p-1] on every
         # group it would be 3.0x / 3.2x larger at p = 2 / 3)
         H = np.array([[1.0, 1.6], [1.4, 1.0]])
-        sig = al.example_signature(H, p=p, mode="tight", c5_target=1.2)
+        sig = tight_signature(al.example_signature(H, p=p), 1.2)
         eq = al.derive_equation_system(sig)
         sep = math.inf
         for groups in eq.receivers:
@@ -496,8 +508,9 @@ class TestTightScaling:
 
     @pytest.mark.parametrize("c5", [0.0, -1.0, math.nan, math.inf])
     def test_bad_c5_rejected(self, c5):
+        eq = al.derive_equation_system(al.canonical_signature(H_GENERIC, 1, 3))
         with pytest.raises(InvalidArgumentError, match="c5 must be finite and > 0"):
-            al.canonical_signature(H_GENERIC, 1, 3, mode="tight", c5_target=c5)
+            al.tight_scaling_factor(eq, c5)
 
 
 class TestParameterSelection:
@@ -647,7 +660,7 @@ class TestDemodAgainstLoop:
     def test_canonical_l1_tight_noisy(self, p):
         rng = np.random.default_rng(100 + p)
         H = rng.uniform(0.5, 2.0, size=(2, 2))
-        sig = al.canonical_signature(H, 1, p, mode="tight")
+        sig = tight_signature(al.canonical_signature(H, 1, p))
         eq = al.derive_equation_system(sig)
         w = [rng.integers(0, p, size=(1, 4500)) for _ in range(2)]
         y = al.awgn_channel(al.modulate(w, sig), H, rng, noise_variance=1.0)
@@ -656,7 +669,7 @@ class TestDemodAgainstLoop:
 
     def test_two_user_example(self):
         rng = np.random.default_rng(7)
-        sig = al.example_signature(H_EXAMPLE, p=5, mode="tight")
+        sig = tight_signature(al.example_signature(H_EXAMPLE, p=5))
         eq = al.derive_equation_system(sig)
         w = [rng.integers(0, 5, size=(2, 600)) for _ in range(2)]
         y = al.awgn_channel(al.modulate(w, sig), H_EXAMPLE, rng, noise_variance=1.0)

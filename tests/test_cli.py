@@ -13,6 +13,10 @@ from caf import cli
 from caf.errors import InvalidArgumentError, NumericRangeError
 
 
+def no_channel_draw(*args, **kwargs):
+    raise AssertionError("bad input reached the channel draw")
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     rc = cli.main([*argv, "--out", str(out)])
@@ -68,6 +72,16 @@ class TestConfig:
         cfg.write_text("h2_points = 3, 4\n")
         with pytest.raises(ValueError, match="config keys h2_points take one value"):
             cli.main(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    def test_config_errors_are_typed(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed\n")
+        with pytest.raises(InvalidArgumentError, match="bad config line"):
+            cli.parse_config(str(cfg))
+        with pytest.raises(InvalidArgumentError, match="unknown config keys for align: bogus"):
+            cli.RunConfig("align", {"bogus": 1}).validate()
+        with pytest.raises(InvalidArgumentError, match="config keys trials take one value"):
+            cli.RunConfig("align", {"trials": [1, 2]}).validate()
 
 
 class TestFig2:
@@ -229,6 +243,76 @@ class TestAlign:
         out = run(tmp_path, "align", "--p", "3", "5", "7", "--trials", "200", *argv)
         assert hashlib.sha256((out / "align.csv").read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("setting, message", [
+        ("geometry=ring", "unknown geometry 'ring'"),
+        ("scaling_mode=loose", "unknown scaling mode 'loose'"),
+    ])
+    def test_unknown_geometry_or_scaling_rejected_before_the_channel_draw(
+            self, tmp_path, monkeypatch, setting, message):
+        monkeypatch.setattr(cli, "_align_channel", no_channel_draw)
+        with pytest.raises(InvalidArgumentError, match=message):
+            cli.main(["align", "--p", "5", "--trials", "5", "--set", "geometry=canonical",
+                      "--set", setting, "--out", str(tmp_path / "o")])
+        assert os.listdir(tmp_path / "o") == []
+
+    def test_worstcase_scaling_past_float_range_is_typed(self, tmp_path):
+        # K=3, L=1: (Kp)^|G_2| = 9^512 = 2^1623.0
+        with pytest.raises(NumericRangeError, match="worst-case scaling needs 2\\^1623"):
+            cli.main(["align", "--p", "3", "--k", "3", "--trials", "5",
+                      "--set", "geometry=canonical", "--set", "scaling_mode=worstcase",
+                      "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o" / "align.csv").exists()
+
+    # SHA-256 of align.csv at 50 trials, one config per scaling mode and
+    # demod branch that caf align selects
+    BRANCH_DIGESTS = [
+        (("--set", "geometry=canonical", "--l", "1", "--set", "noise_variance=1"),
+         "b4d9b0e4dac7699fc47ff4a82c0b78e94ff2fa2ffc0e7240533e8dc2aa3a90b2"),
+        (("--set", "geometry=canonical", "--l", "1", "--set", "scaling_mode=worstcase",
+          "--set", "noise_variance=0"),
+         "4a807efd046d89fdd73a3a34efd1bb530efc9ebda530501f99de891004b970e1"),
+        (("--set", "geometry=canonical", "--l", "1", "--set", "scaling_mode=unit",
+          "--set", "noise_variance=0"),
+         "4a2f9d186ff45b3cd8ff014cd580c5898ef146fb467155e86f53e99faa158d40"),
+        (("--set", "noise_variance=0",),
+         "4ec12ed1b6d261214302a6b25900be0b065c5f5b8891bc2e0197d079e4e97afb"),
+        (("--set", "noise_variance=1",),
+         "9fe629a2b5806423d9695ae2181c40136445f43234d6dbd3f6a66e1680530439"),
+        (("--set", "geometry=canonical", "--l", "1", "--set", "demod_strategy=oracle",
+          "--set", "inject_corruptions=2", "--set", "t_len=7", "--set", "message_len=2"),
+         "95d356a5e6971cd88e4560ae2158f76780ac2ce34e68409dfbb5aa9d3a1287b1"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", BRANCH_DIGESTS, ids=[
+        "canonical_tight_n1", "canonical_worstcase_n0", "canonical_unit_n0",
+        "example_n0", "example_n1", "canonical_oracle_inject2"])
+    def test_scaling_and_demod_branch_digest(self, tmp_path, argv, digest):
+        out = run(tmp_path, "align", "--p", "3", "5", "--trials", "50", *argv)
+        assert hashlib.sha256((out / "align.csv").read_bytes()).hexdigest() == digest
+
+    def test_one_equation_system_per_prime(self, tmp_path, monkeypatch):
+        calls = []
+        derive = cli.alignment.derive_equation_system
+
+        def counted(sig):
+            calls.append(sig.p)
+            return derive(sig)
+
+        monkeypatch.setattr(cli.alignment, "derive_equation_system", counted)
+        run(tmp_path, "align", "--p", "3", "5", "7", "11", "--trials", "20",
+            "--set", "geometry=canonical")
+        assert calls == [3, 5, 7, 11]
+
+    def test_oracle_run_does_not_demodulate(self, tmp_path, monkeypatch):
+        def no_demod(*args, **kwargs):
+            raise AssertionError("the oracle run called the demodulator")
+
+        monkeypatch.setattr(cli.alignment, "ml_demodulate", no_demod)
+        out = run(tmp_path, "align", "--p", "3", "5", "--trials", "20",
+                  "--set", "demod_strategy=oracle")
+        header, *rows = [l.split(",") for l in (out / "align.csv").read_text().splitlines()]
+        assert [r[header.index("demod_symbol_errors")] for r in rows] == ["0", "0"]
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_non_positive_trials_rejected(self, tmp_path, trials):
         with pytest.raises(InvalidArgumentError, match=f"trials must be >= 1, got {trials}"):
@@ -342,6 +426,19 @@ class TestCodeFile:
                       "--set", "noise_variance=0",
                       "--set", f"code_file={out1 / 'code_p5.txt'}",
                       "--out", str(tmp_path / "c")])
+
+    def test_wrong_field_rejected_before_any_work(self, tmp_path, monkeypatch):
+        out1 = run(tmp_path / "a", "align", "--p", "5", "--trials", "10",
+                   "--set", "noise_variance=0", "--set", "t_len=7",
+                   "--set", "message_len=2")
+        monkeypatch.setattr(cli, "_align_channel", no_channel_draw)
+        # p = 5 matches the stored code; p = 3 does not, and no prime runs
+        with pytest.raises(InvalidArgumentError, match="stored code is over F_5, run wants p=3"):
+            cli.main(["align", "--p", "5", "3", "--trials", "10",
+                      "--set", "noise_variance=0",
+                      "--set", f"code_file={out1 / 'code_p5.txt'}",
+                      "--out", str(tmp_path / "c")])
+        assert os.listdir(tmp_path / "c") == []
 
     def test_non_injective_code_rejected(self, tmp_path):
         code = tmp_path / "code.txt"

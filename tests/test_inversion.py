@@ -13,7 +13,7 @@ H_EXAMPLE = np.array([[1.0, 0.8], [1.3, 1.0]])
 
 
 def canonical_system(H, L, p):
-    sig = al.canonical_signature(H, L, p, mode="unit")
+    sig = al.canonical_signature(H, L, p)
     eqsys = al.derive_equation_system(sig)
     return sig, eqsys
 
@@ -60,7 +60,7 @@ class TestSolveLinear:
         rng = np.random.default_rng(2)
         for _ in range(10):
             w = [rng.integers(0, 5, size=(16,)) for _ in range(2)]
-            u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys, sig)]
+            u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys)]
             res = inv.solve_linear(sys, u, eqsys)
             assert res.consistent and res.values is not None
             for kk in range(2):
@@ -178,7 +178,7 @@ class TestSolveLinearAgainstFullWidth:
         sys = inv.build_incidence(eqsys)
         for _ in range(10):
             w = [rng.integers(0, 5, size=(16, 2)) for _ in range(2)]
-            u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys, sig)]
+            u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys)]
             m = int(rng.integers(0, 2))
             u[m][int(rng.integers(0, len(u[m])))] += 1 + rng.integers(0, 4, size=2)
             want = full_width_solve(sys, u, eqsys)
@@ -191,7 +191,7 @@ class TestSolveLinearAgainstFullWidth:
         assert sys.matrix.dtype == np.int8
         rng = np.random.default_rng(10)
         w = [rng.integers(0, 257, size=(16,)) for _ in range(2)]
-        u = [np.asarray(t) % 257 for t in al.true_equations(w, eqsys, sig)]
+        u = [np.asarray(t) % 257 for t in al.true_equations(w, eqsys)]
         res = inv.solve_linear(sys, u, eqsys)
         assert_same_solve(res, full_width_solve(sys, u, eqsys))
         assert res.rank == 32
@@ -226,7 +226,7 @@ class TestSolveLinearOnCanonicalIncidence:
         sig, eqsys = generic_canonical_system(k, L, p, rng)
         sys = inv.build_incidence(eqsys)
         w = [rng.integers(0, p, size=(len(v), 2)) for v in sig.values]
-        u = [np.asarray(t) % p for t in al.true_equations(w, eqsys, sig)]
+        u = [np.asarray(t) % p for t in al.true_equations(w, eqsys)]
         want = full_width_solve(sys, u, eqsys)
         assert want.values is not None and want.rank == k * al.monomial_card(k, L)
         assert_same_solve(inv.solve_linear(sys, u, eqsys), want)
@@ -259,7 +259,7 @@ class TestSolveLinearOnCanonicalIncidence:
         sys = inv.build_incidence(eqsys)
         assert sys.matrix.shape == (3648, 1536)
         w = [rng.integers(0, 3, size=(len(v), 1)) for v in sig.values]
-        u = [np.asarray(t) % 3 for t in al.true_equations(w, eqsys, sig)]
+        u = [np.asarray(t) % 3 for t in al.true_equations(w, eqsys)]
         tracemalloc.start()
         try:
             res = inv.solve_linear(sys, u, eqsys)
@@ -275,7 +275,7 @@ class TestPeel:
         sig, eqsys = canonical_system(H_GENERIC, 1, 7)
         rng = np.random.default_rng(3)
         w = [rng.integers(0, 7, size=(1,)) for _ in range(2)]
-        u = [np.asarray(t) % 7 for t in al.true_equations(w, eqsys, sig)]
+        u = [np.asarray(t) % 7 for t in al.true_equations(w, eqsys)]
         res = inv.peel_invert(eqsys, u)
         assert res.rounds == 1 and not res.fallback
         assert res.values[(0, 0)][0] == w[0][0]
@@ -292,7 +292,7 @@ class TestPeel:
                 continue
             done += 1
             w = [rng.integers(0, 5, size=(16,)) for _ in range(2)]
-            u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys, sig)]
+            u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys)]
             peel = inv.peel_invert(eqsys, u)
             solve = inv.solve_linear(inv.build_incidence(eqsys), u, eqsys)
             assert not peel.fallback
@@ -306,7 +306,7 @@ class TestPeel:
         H = rng.uniform(0.5, 2.0, size=(3, 3))
         sig, eqsys = canonical_system(H, 2, 3)
         w = [rng.integers(0, 3, size=(512,)) for _ in range(3)]
-        u = [np.asarray(t) % 3 for t in al.true_equations(w, eqsys, sig)]
+        u = [np.asarray(t) % 3 for t in al.true_equations(w, eqsys)]
         peel = inv.peel_invert(eqsys, u)
         solve = inv.solve_linear(inv.build_incidence(eqsys), u, eqsys)
         assert solve.values is not None and not peel.fallback
@@ -318,7 +318,7 @@ class TestPeel:
         sig, eqsys = canonical_system(H_GENERIC, 2, 5)
         rng = np.random.default_rng(6)
         w = [rng.integers(0, 5, size=(16, 4)) for _ in range(2)]
-        u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys, sig)]
+        u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys)]
         res = inv.peel_invert(eqsys, u)
         for kk in range(2):
             for i in range(16):
@@ -329,7 +329,7 @@ class TestPeel:
         eqsys = al.derive_equation_system(sig)
         rng = np.random.default_rng(7)
         w = [rng.integers(0, 5, size=(2,)) for _ in range(2)]
-        u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys, sig)]
+        u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys)]
         res = inv.peel_invert(eqsys, u)
         assert res.fallback
         for kk in range(2):
@@ -338,12 +338,12 @@ class TestPeel:
 
     def test_partial_canonical_signature_falls_back_to_solver(self):
         # canonical gains, but each transmitter sends only 8 of the 16 rows of G_2
-        sig = al.canonical_signature(H_GENERIC, 2, 5, mode="unit")
+        sig = al.canonical_signature(H_GENERIC, 2, 5)
         sig = dataclasses.replace(sig, exponents=[e[:8] for e in sig.exponents],
                                   values=[v[:8] for v in sig.values])
         eqsys = al.derive_equation_system(sig)
         w = [np.arange(8) % 5, np.arange(8)[::-1] % 5]
-        u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys, sig)]
+        u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys)]
         res = inv.peel_invert(eqsys, u)
         assert res.fallback
         for kk in range(2):
@@ -426,7 +426,7 @@ class TestPeelAgainstLoop:
         for p in (2, 3, 7):
             sig, eqsys = generic_canonical_system(k, L, p, rng)
             w = [rng.integers(0, p, size=(len(v), 3)) for v in sig.values]
-            u = [np.asarray(t) % p for t in al.true_equations(w, eqsys, sig)]
+            u = [np.asarray(t) % p for t in al.true_equations(w, eqsys)]
             assert_same_peel(inv.peel_invert(eqsys, u), loop_peel(eqsys, u))
             # corrupted equations: rows that disagree on a submessage
             for um in u:
@@ -454,7 +454,7 @@ class TestInjectivity:
 
     def test_non_generic_rejected_upstream(self):
         with pytest.raises(NonGenericChannelError):
-            al.canonical_signature(np.array([[1.4, 1.4], [0.7, 1.9]]), 2, 5, mode="unit")
+            al.canonical_signature(np.array([[1.4, 1.4], [0.7, 1.9]]), 2, 5)
 
     def test_non_canonical_system_rejected(self):
         eqsys = al.derive_equation_system(al.example_signature(H_EXAMPLE, p=5))
@@ -476,7 +476,7 @@ class TestInjectivity:
         rng = np.random.default_rng(40 + k + L)
         sig, eqsys = canonical_system(rng.uniform(0.5, 2.0, size=(k, k)), L, p)
         w = [rng.integers(0, p, size=(len(v),)) for v in sig.values]
-        u = [np.asarray(t) % p for t in al.true_equations(w, eqsys, sig)]
+        u = [np.asarray(t) % p for t in al.true_equations(w, eqsys)]
         solve = inv.solve_linear(inv.build_incidence(eqsys), u, eqsys)
         assert solve.rank == inv.injectivity_check(eqsys).rank == k * al.monomial_card(k, L)
 
@@ -487,7 +487,7 @@ class TestPeelDepth:
         H = rng.uniform(0.5, 2.0, size=(2, 2))
         sig, eqsys = canonical_system(H, 3, 3)
         w = [rng.integers(0, 3, size=(81,)) for _ in range(2)]
-        u = [np.asarray(t) % 3 for t in al.true_equations(w, eqsys, sig)]
+        u = [np.asarray(t) % 3 for t in al.true_equations(w, eqsys)]
         peel = inv.peel_invert(eqsys, u)
         solve = inv.solve_linear(inv.build_incidence(eqsys), u, eqsys)
         assert solve.values is not None and not peel.fallback
@@ -500,7 +500,7 @@ class TestPeelDepth:
         H = rng.uniform(0.5, 2.0, size=(3, 3))
         sig, eqsys = canonical_system(H, 1, 5)
         w = [rng.integers(0, 5, size=(1,)) for _ in range(3)]
-        u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys, sig)]
+        u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys)]
         res = inv.peel_invert(eqsys, u)
         assert res.rounds == 1
         for kk in range(3):

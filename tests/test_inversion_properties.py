@@ -19,13 +19,13 @@ def peel_blocks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     H = rng.uniform(0.5, 2.0, size=(2, 2))
     try:
-        sig = al.canonical_signature(H, L, p, mode="unit")
+        sig = al.canonical_signature(H, L, p)
     except NonGenericChannelError:
         hypothesis.assume(False)
     eqsys = al.derive_equation_system(sig)
     cols = draw(st.integers(1, 6))
     w = [rng.integers(0, p, size=(len(v), cols)) for v in sig.values]
-    u = [t % p for t in al.true_equations(w, eqsys, sig)]
+    u = [t % p for t in al.true_equations(w, eqsys)]
     # corrupt some equations: peeling must still treat columns independently
     rate = draw(st.sampled_from([0.0, 0.1, 0.5]))
     for um in u:
@@ -55,13 +55,13 @@ def disagreeing_rows(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     H = rng.uniform(0.5, 2.0, size=(k, k))
     try:
-        sig = al.canonical_signature(H, L, p, mode="unit")
+        sig = al.canonical_signature(H, L, p)
     except NonGenericChannelError:
         hypothesis.assume(False)
     eqsys = al.derive_equation_system(sig)
     cols = draw(st.integers(1, 3))
     w = [rng.integers(0, p, size=(len(v), cols)) for v in sig.values]
-    u = [t % p for t in al.true_equations(w, eqsys, sig)]
+    u = [t % p for t in al.true_equations(w, eqsys)]
     # shift one row: it now disagrees with every other row that reads its submessages
     m = draw(st.integers(0, k - 1))
     g = draw(st.integers(0, len(u[m]) - 1))
