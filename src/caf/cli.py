@@ -20,7 +20,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -242,17 +242,21 @@ def cmd_dof(config: dict, outdir: str) -> str:
 # ---------------------------------------------------------------- align
 
 
-def _align_channel(config: dict, seed: int, geometry: str, l: int):
+def _align_channel(config: dict, seed: int, geometry: str, l: int, p: int):
+    """Draw the channel and return its B = 1 signature map over F_p.
+
+    The map depends on p only through ``sig.p``, so ``cmd_align`` builds it
+    once per run and copies it per prime.
+    """
     rng = child_rng(seed, 99)
     if geometry == "example":
         h1, h2 = rng.uniform(0.5, 2.0, size=2)
-        return np.array([[1.0, h2], [h1, 1.0]])
+        return alignment.example_signature(np.array([[1.0, h2], [h1, 1.0]]), p=p)
     k = int(config.get("k", 2))
     for _ in range(64):
         H = rng.uniform(0.5, 2.0, size=(k, k))
         try:
-            alignment.canonical_signature(H, l, 2)
-            return H
+            return alignment.canonical_signature(H, l, p)
         except NonGenericChannelError:
             continue
     raise NonGenericChannelError("no generic channel found in 64 draws")
@@ -279,6 +283,14 @@ def cmd_align(config: dict, outdir: str) -> str:
     # B is a run policy: the constructors return B = 1 and each prime's
     # scaling is set below from the equation system derived for it
     if geometry == "example":
+        # the worked example fixes K=2, L=1 and its own scaling
+        if int(config.get("k", 2)) != 2:
+            raise InvalidArgumentError(f"geometry=example is K=2 only, got k={config['k']}")
+        fixed = sorted({"l", "scaling_mode"} & set(config))
+        if fixed:
+            raise InvalidArgumentError(
+                f"geometry=example takes no {' or '.join(fixed)}; they set the canonical geometry"
+            )
         scaling_mode = "tight" if noise_var > 0 else "unit"
     elif geometry == "canonical":
         scaling_mode = config.get("scaling_mode", "tight")
@@ -298,7 +310,11 @@ def cmd_align(config: dict, outdir: str) -> str:
                 f"stored code {code_file} is not injective: a nonzero message "
                 "encodes to the zero word"
             )
-    H = _align_channel(config, seed, geometry, l)
+    for p in p_list:
+        if not fpcode.is_prime(p):
+            raise InvalidArgumentError(f"{p} is not prime")
+    accepted = _align_channel(config, seed, geometry, l, p_list[0])
+    H = accepted.h
     header = ["schema_version", "seed", "row_seed", "geometry", "k", "l", "p",
               "t_len", "trials", "noise_variance", "c5", "strategy",
               "log2_scaling", "power_mean", "demod_symbol_errors",
@@ -306,10 +322,8 @@ def cmd_align(config: dict, outdir: str) -> str:
               "blocks", "achievable_rate_eps0"]
     rows = []
     for pi, p in enumerate(p_list):
-        if geometry == "example":
-            sig = alignment.example_signature(H, p=p)
-        else:
-            sig = alignment.canonical_signature(H, l, p)
+        # a copy per prime: each sets its own scaling
+        sig = replace(accepted, p=p)
         eqsys = alignment.derive_equation_system(sig)
         if scaling_mode == "tight":
             sig.scaling = alignment.tight_scaling_factor(eqsys, c5)
@@ -473,7 +487,8 @@ def cmd_invert(config: dict, outdir: str) -> str:
             if np.all(expected == peeled):
                 peel_eq += 1
         # free this sample before the next one is built: it would otherwise
-        # stay resident through the next signature construction (+11 MB at K=3 L=2)
+        # stay resident through the next signature construction (+1.8 MiB
+        # tracemalloc peak at K=3 L=2)
         del sig, eqsys, w, u, peel, incidence, solve
     header = ["schema_version", "seed", "row_seed", "k", "l", "p", "samples",
               "injective_pass", "peel_equals_solve", "rejected"]

@@ -2,15 +2,20 @@
 
 The decoded equations u[m, g] = sum_k w[k, g / h[m,k]] (mod p) form a 0/1
 linear system over F_p whose columns are submessages and whose rows are
-(receiver, receive monomial) pairs. Two independent solvers are provided:
+(receiver, receive monomial) pairs. ``IncidenceSystem`` holds that system
+as its nonzeros, the (row, column) index arrays the equation system
+already has; nothing on the solving path allocates rows x columns. Two
+independent solvers are provided:
 
 * ``solve_linear`` - Gauss-Jordan elimination over F_p, the oracle. It
-  keeps only the nonzeros: each row as a ``{column: residue}`` map and
-  each column as the set of rows that hold it, with the dense pivot rule
-  (first nonzero at or after ``rank`` in the swapped row order), so its
-  results and their order are those of dense elimination. The canonical
-  incidence has K nonzeros per column, and the cost is those nonzeros
-  plus the fill-in elimination creates, not rows x columns;
+  works on the nonzeros: each row of the augmented system [A | u] as a
+  ``{column: residue}`` map of Python ints, the right-hand side being
+  extra columns, and each column of A as the set of rows that hold it.
+  Its pivot rule is the dense one (first nonzero at or after ``rank`` in
+  the swapped row order), so its results and their order are those of
+  dense elimination. The canonical incidence has K nonzeros per column,
+  and the cost is those nonzeros plus the fill-in elimination creates
+  (structured sparse elimination);
 * ``peel_invert`` - the constructive peeling procedure. On a generic
   channel a receive monomial identifies its origin uniquely, so some
   equation always has exactly one unresolved contributor (highest powers
@@ -45,25 +50,42 @@ class PeelStallError(RuntimeError):
 
 @dataclass
 class IncidenceSystem:
-    """0/1 incidence matrix (int8) with its row/column index maps."""
+    """A linear system over F_p held as its nonzeros, with its row/column index maps.
 
-    matrix: np.ndarray
+    Nonzero j is ``vals[j]`` at row ``rows[j]`` and column ``cols[j]``; the
+    nonzeros are sorted by (row, column) and ``vals`` are int64 residues
+    mod p. The shape is (len(row_keys), len(col_keys)).
+    """
+
+    rows: np.ndarray  # (nonzeros,) int64
+    cols: np.ndarray  # (nonzeros,) int64
+    vals: np.ndarray  # (nonzeros,) int64
     row_keys: list  # (receiver m, receive exponent tuple)
     col_keys: list  # (transmitter k, submessage index)
     p: int
 
     @property
     def shape(self):
-        return self.matrix.shape
+        return len(self.row_keys), len(self.col_keys)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense rows x columns copy, built on every read; the solvers never read it.
+
+        int8 holds every residue when p <= 128, and a 0/1 incidence at any p.
+        """
+        small = self.p <= 128 or bool(np.all(self.vals == 1))
+        dense = np.zeros(self.shape, dtype=np.int8 if small else np.int64)
+        dense[self.rows, self.cols] = self.vals
+        return dense
 
 
 def build_incidence(eqsys: EquationSystem) -> IncidenceSystem:
-    """Assemble the submessage -> equation map of the equation system."""
+    """Assemble the submessage -> equation map of the equation system, as its nonzeros."""
     col_keys = list(map(tuple, eqsys.col_keys.tolist()))
     row_keys = [(m, tuple(e)) for m, exps in enumerate(eqsys.exponents) for e in exps.tolist()]
-    matrix = np.zeros((len(row_keys), len(col_keys)), dtype=np.int8)
-    matrix[eqsys.rows, eqsys.cols] = 1
-    return IncidenceSystem(matrix, row_keys, col_keys, eqsys.p)
+    ones = np.ones(len(eqsys.rows), dtype=np.int64)
+    return IncidenceSystem(eqsys.rows, eqsys.cols, ones, row_keys, col_keys, eqsys.p)
 
 
 @dataclass
@@ -93,17 +115,20 @@ def solve_linear(sys: IncidenceSystem, u, eqsys: EquationSystem | None = None) -
     ``u`` is the per-receiver list of equation value arrays (vector-valued
     equations allowed), or a flat array matching the row order. An
     inconsistent system (corrupted u) is reported with its failing row key.
-    ``sys.matrix`` is read once, for its nonzeros, and never modified.
+    ``sys`` is never modified.
 
-    Each row is kept as a ``{column: residue}`` map and each column as the
-    set of rows that are nonzero in it; the right-hand side stays one
-    (rows, width) array. The pivot rule is the dense one: columns are taken
-    in order, and the pivot of column c is the row at the first position at
-    or after ``rank`` in the swapped row order (``order`` maps position to
-    row, ``pos`` row to position), which then swaps places with the row at
-    ``rank``. Rank, consistency, the failing row (the first zero row with a
-    nonzero right-hand side, in swapped order) and the key order of
-    ``values`` are therefore those of dense elimination.
+    Elimination runs on the augmented system [A | u]: each row is one
+    ``{column: residue}`` map of Python ints in which right-hand-side
+    component w is column ``n_cols + w``, so a pivot's row operation
+    updates the right-hand side with the same loop. Each column of A also
+    keeps the set of rows that are nonzero in it. The pivot rule is the
+    dense one: columns are taken in order, and the pivot of column c is the
+    row at the first position at or after ``rank`` in the swapped row order
+    (``order`` maps position to row, ``pos`` row to position), which then
+    swaps places with the row at ``rank``. Rank, consistency, the failing
+    row (the first zero row of A with a nonzero right-hand side, in swapped
+    order) and the key order of ``values`` are therefore those of dense
+    elimination.
 
     A pivot touches its own row's entries and the rows holding its column,
     so work and memory grow with the nonzeros plus the fill-in (entries
@@ -112,67 +137,71 @@ def solve_linear(sys: IncidenceSystem, u, eqsys: EquationSystem | None = None) -
     thousand fill-ins.
     """
     p = int(sys.p)
-    n_rows, n_cols = sys.matrix.shape
+    n_rows, n_cols = sys.shape
     if eqsys is not None:
         rhs = _flatten_rhs(u, eqsys) % p
     else:
         rhs = np.asarray(u, dtype=np.int64).reshape(n_rows, -1) % p
     if rhs.shape[0] != n_rows:
         raise InvalidArgumentError("equation values do not match the incidence rows")
-    flat = np.flatnonzero(sys.matrix)
-    residues = sys.matrix.reshape(-1)[flat].astype(np.int64) % p
-    kept = residues != 0
-    flat, residues = flat[kept], residues[kept]
+    width = rhs.shape[1]
     rows = [{} for _ in range(n_rows)]
-    col_rows = [set() for _ in range(n_cols)]
-    for i, v in zip(flat.tolist(), residues.tolist()):
-        r, c = divmod(i, n_cols)
-        rows[r][c] = v
-        col_rows[c].add(r)
+    # the right-hand-side columns get row sets too, kept up to date but never read
+    col_rows = [set() for _ in range(n_cols + width)]
+    for r, c, v in zip(sys.rows.tolist(), sys.cols.tolist(), (sys.vals % p).tolist()):
+        if v:
+            rows[r][c] = v
+            col_rows[c].add(r)
+    r_nz, w_nz = np.nonzero(rhs)
+    for r, w, v in zip(r_nz.tolist(), (w_nz + n_cols).tolist(), rhs[r_nz, w_nz].tolist()):
+        rows[r][w] = v
     order = list(range(n_rows))
     pos = list(range(n_rows))
     pivots = []  # (column, row) in column order
     for c in range(n_cols):
         rank = len(pivots)
-        below = [pos[r] for r in col_rows[c] if pos[r] >= rank]
+        holders = col_rows[c]
+        below = [pos[r] for r in holders if pos[r] >= rank]
         if not below:
             continue
-        piv = order[min(below)]
-        displaced = order[rank]
-        order[rank], order[pos[piv]] = piv, displaced
-        pos[displaced], pos[piv] = pos[piv], rank
+        at = min(below)
+        piv, displaced = order[at], order[rank]
+        order[rank], order[at] = piv, displaced
+        pos[displaced], pos[piv] = at, rank
+        # no row past the pivot holds column c again, so nothing reads the
+        # column after this step: its entries (the pivot's 1, the targets'
+        # zeros) are dropped and its row set is left as it is
         prow = rows[piv]
-        inv = pow(prow[c], p - 2, p)
+        inv = pow(prow.pop(c), p - 2, p)
         if inv != 1:
             for j in prow:
                 prow[j] = prow[j] * inv % p
-            rhs[piv] = rhs[piv] * inv % p
-        targets = [t for t in col_rows[c] if t != piv]
-        if targets:
-            factors = [rows[t][c] for t in targets]
-            rhs[targets] = (rhs[targets] - np.array(factors)[:, None] * rhs[piv]) % p
-            for t, f in zip(targets, factors):
-                trow = rows[t]
-                for j, v in prow.items():
-                    x = (trow.get(j, 0) - f * v) % p
-                    if x:
-                        trow[j] = x
-                        col_rows[j].add(t)
-                    else:
-                        trow.pop(j, None)
-                        col_rows[j].discard(t)
+        holders.discard(piv)
+        for t in holders:
+            trow = rows[t]
+            f = trow.pop(c)
+            for j, v in prow.items():
+                x = (trow.get(j, 0) - f * v) % p
+                if x:
+                    trow[j] = x
+                    col_rows[j].add(t)
+                else:
+                    trow.pop(j, None)
+                    col_rows[j].discard(t)
         pivots.append((c, piv))
         if len(pivots) == n_cols:
             break
     rank = len(pivots)
-    # rows left without entries must have a zero right-hand side too
-    failing = [r for r in np.flatnonzero(np.any(rhs, axis=1)).tolist() if not rows[r]]
-    if failing:
-        return SolveResult(None, rank, False, sys.row_keys[min(failing, key=pos.__getitem__)])
+    # rows past the pivots have no entries left in A, so any entry they
+    # keep is a nonzero right-hand side
+    for r in order[rank:]:
+        if rows[r]:
+            return SolveResult(None, rank, False, sys.row_keys[r])
     if rank < n_cols:
         return SolveResult(None, rank, True, None)
-    solved = rhs[[r for _, r in pivots]]
-    values = dict(zip((sys.col_keys[c] for c, _ in pivots), solved))
+    extra = range(n_cols, n_cols + width)
+    solved = np.array([rows[r].get(j, 0) for _, r in pivots for j in extra], dtype=np.int64)
+    values = dict(zip((sys.col_keys[c] for c, _ in pivots), solved.reshape(n_cols, width)))
     return SolveResult(values, rank, True, None)
 
 
@@ -272,5 +301,5 @@ def injectivity_check(eqsys: EquationSystem) -> InjectivityReport:
     sig = eqsys.signature
     sys = build_incidence(eqsys)
     expected = sig.k * (sig.l ** (sig.k * sig.k))
-    result = solve_linear(sys, np.zeros((sys.matrix.shape[0], 1), dtype=np.int64))
+    result = solve_linear(sys, np.zeros((sys.shape[0], 1), dtype=np.int64))
     return InjectivityReport(result.rank == expected, result.rank, expected)

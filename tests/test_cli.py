@@ -303,6 +303,44 @@ class TestAlign:
             "--set", "geometry=canonical")
         assert calls == [3, 5, 7, 11]
 
+    def test_one_signature_per_run(self, tmp_path, monkeypatch):
+        # G_{L+1} and its genericity check depend on H and L only, not on p
+        calls = []
+        build = cli.alignment.diophantine.build_monomial_set
+
+        def counted(H, L):
+            calls.append(L)
+            return build(H, L)
+
+        monkeypatch.setattr(cli.alignment.diophantine, "build_monomial_set", counted)
+        run(tmp_path, "align", "--p", "3", "5", "7", "11", "--trials", "20",
+            "--set", "geometry=canonical")
+        assert calls == [2]
+
+    @pytest.mark.parametrize("geometry", ["example", "canonical"])
+    def test_non_prime_p_rejected_before_the_channel_draw(self, tmp_path, monkeypatch, geometry):
+        monkeypatch.setattr(cli, "_align_channel", no_channel_draw)
+        with pytest.raises(InvalidArgumentError, match="^6 is not prime$"):
+            cli.main(["align", "--p", "3", "6", "--trials", "5", "--set", f"geometry={geometry}",
+                      "--out", str(tmp_path / "o")])
+        assert os.listdir(tmp_path / "o") == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--k", "3"), "geometry=example is K=2 only, got k=3"),
+        (("--l", "3"), "geometry=example takes no l;"),
+        (("--l", "1"), "geometry=example takes no l;"),
+        (("--set", "scaling_mode=worstcase"), "geometry=example takes no scaling_mode;"),
+        (("--k", "3", "--l", "3", "--set", "scaling_mode=worstcase"), "K=2 only"),
+        (("--l", "3", "--set", "scaling_mode=unit"), "takes no l or scaling_mode;"),
+    ], ids=["k3", "l3", "l1", "worstcase", "all_three", "l_and_unit"])
+    def test_example_geometry_rejects_canonical_settings_before_the_channel_draw(
+            self, tmp_path, monkeypatch, argv, message):
+        monkeypatch.setattr(cli, "_align_channel", no_channel_draw)
+        with pytest.raises(InvalidArgumentError, match=message):
+            cli.main(["align", "--p", "5", "--trials", "5", "--set", "geometry=example", *argv,
+                      "--out", str(tmp_path / "o")])
+        assert os.listdir(tmp_path / "o") == []
+
     def test_oracle_run_does_not_demodulate(self, tmp_path, monkeypatch):
         def no_demod(*args, **kwargs):
             raise AssertionError("the oracle run called the demodulator")

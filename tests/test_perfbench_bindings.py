@@ -5,7 +5,8 @@ hooks read the wrapped call's arguments by parameter name, and its harness
 fails on public functions it does not name. This module loads the tracer
 read-only by path, so a rename, a dropped parameter or a new public
 function fails here, in the tier-1 suite, and not only in the slow harness
-self-test.
+self-test. The ``caf.inversion`` hooks also run here on a real incidence,
+so a hook that no longer fits its function's result fails here too.
 """
 
 import ast
@@ -14,6 +15,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -75,3 +77,27 @@ def test_every_hook_reads_parameters_of_the_function_it_hooks():
         if name not in inspect.signature(function).parameters:
             missing.append(f"{hook} reads {name!r}, not a parameter of {modname}.{fname}")
     assert missing == []
+
+
+def test_inversion_hooks_run_on_a_real_incidence(tracer):
+    alignment = importlib.import_module("caf.alignment")
+    inversion = importlib.import_module("caf.inversion")
+    rng = np.random.default_rng(5)
+    sig = alignment.canonical_signature(rng.uniform(0.5, 2.0, size=(2, 2)), 2, 5)
+    eqsys = alignment.derive_equation_system(sig)
+    w = [rng.integers(0, 5, size=(len(v), 1)) for v in sig.values]
+    u = [t % 5 for t in alignment.true_equations(w, eqsys)]
+    t = tracer.Tracer()
+    with t.installed():
+        sys = inversion.build_incidence(eqsys)
+        solve = inversion.solve_linear(sys, u, eqsys)
+        peel = inversion.peel_invert(eqsys, u)
+    assert tracer.leftover_wrappers() == []
+    assert solve.rank == 32 and not peel.fallback
+    assert [span[0] for span in t.spans] == ["inversion.incidence", "inversion.solve",
+                                             "inversion.peel"]
+    # the solve hook sizes the dense view, which it builds to read its shape
+    assert sys.shape == (56, 32)
+    assert t.counters["inversion.solve.cells"] == 56 * 32
+    assert t.counters["inversion.peel.rounds"] == peel.rounds > 0
+    assert t.counters["inversion.peel.fallbacks"] == 0
