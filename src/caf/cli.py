@@ -481,10 +481,11 @@ def cmd_invert(config: dict, outdir: str) -> str:
             injective += 1
         if solve.values is not None:
             # full rank: solve.values and the sent submessages (k, i) are both
-            # in col_keys order, so one comparison checks peel == solve == sent
-            peeled = np.stack([peel.values[key] for key in incidence.col_keys])
-            expected = np.stack([np.stack(list(solve.values.values())), np.concatenate(w) % p])
-            if np.all(expected == peeled):
+            # in col_keys order, so flat arrays check peel == solve == sent
+            peeled = np.concatenate([peel.values[key] for key in incidence.col_keys])
+            solved = np.concatenate(list(solve.values.values()))
+            sent = np.concatenate(w).ravel() % p
+            if np.array_equal(peeled, solved) and np.array_equal(peeled, sent):
                 peel_eq += 1
         # free this sample before the next one is built: it would otherwise
         # stay resident through the next signature construction (+1.8 MiB

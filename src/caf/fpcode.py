@@ -4,8 +4,10 @@ Every transmitter encodes every submessage with one common generator matrix
 S over F_p, so integer sums performed by the channel commute with encoding:
 sum of codewords = codeword of the summed message (mod p). Codes are found
 by seeded random search against the Gilbert-Varshamov rate target and
-verified by exhaustive minimum-distance enumeration; decoding is exhaustive
-minimum Hamming distance.
+verified by exhaustive minimum-distance enumeration. Decoding is minimum
+Hamming distance in two exact tiers: codewords are resolved through an
+information set of S, and only the other words are compared with every
+codeword.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .errors import InvalidArgumentError, ResourceLimitError, SearchFailureError
 from .seeding import child_rng
 
 DECODE_BUDGET = 1 << 20
-# cells held by md_decode's per-chunk distance array (and its bool buffer),
-# and by each block of codewords that md_decode and min_distance encode
+# cells held by the exhaustive decoder's per-chunk distance array (and its
+# bool buffer), and by each block of codewords that it and min_distance encode
 DECODE_CHUNK_CELLS = 1 << 20
 
 
@@ -187,44 +189,53 @@ class DecodeResult:
     ambiguous: bool | np.ndarray  # another message is just as close
 
 
-def md_decode(S: GeneratorMatrix, received, budget: int = DECODE_BUDGET) -> DecodeResult:
-    """Exhaustive minimum-Hamming-distance decoding of a word or a batch.
+def _information_set(S: GeneratorMatrix):
+    """(I, S_I^-1 mod p) for the first information set I of S, or None.
 
-    ``received`` is one (T,) word or a (T, n) batch of words in columns,
-    with every symbol in [0, p); a batch returns ``message`` as
-    (message_len, n) and ``corrections`` and ``ambiguous`` as (n,) arrays,
-    column by column equal to decoding each word alone. Guaranteed correct
-    for error weight <= floor((d-1)/2). Ties are reported ambiguous and
-    resolved to the lexicographically smallest message (first symbol most
-    significant).
+    I is the first message_len rows of S, in row order, that are
+    independent over F_p. Gauss-Jordan on [S^T | identity] takes the pivot
+    columns of S^T greedily from the left, which are exactly those rows,
+    and leaves (S_I^T)^-1 where the identity was. None when S has rank
+    < message_len.
+    """
+    p, k = S.p, S.message_len
+    a = np.concatenate([S.entries.T, np.eye(k, dtype=np.int64)], axis=1)
+    rows = []
+    for c in range(S.t):
+        r = len(rows)
+        if r == k:
+            break
+        nonzero = np.flatnonzero(a[r:, c])
+        if not nonzero.size:
+            continue  # row c of S is a combination of the rows taken
+        a[[r, r + nonzero[0]]] = a[[r + nonzero[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        factor = a[:, c].copy()
+        factor[r] = 0
+        a = (a - factor[:, None] * a[r]) % p
+        rows.append(c)
+    if len(rows) < k:
+        return None
+    return np.array(rows, dtype=np.intp), a[:, S.t:].T
 
-    The codebook is encoded once per call, in blocks of at most
+
+def _nearest(S: GeneratorMatrix, batch: np.ndarray):
+    """Exhaustive search: (message index, distance, tie) of each column of ``batch``.
+
+    The codebook is encoded once, in blocks of at most
     ``DECODE_CHUNK_CELLS`` cells, into the narrowest unsigned type that
-    holds p. Words are decoded in chunks: each chunk's
+    holds p. Words are compared in chunks: each chunk's
     (words, p^message_len) distance count, in the narrowest unsigned type
     that holds T, and its reused bool buffer hold at most
     ``DECODE_CHUNK_CELLS`` cells, or one word's row when a row is wider.
-    Memory therefore does not grow with the batch size.
     """
-    received = np.asarray(received, dtype=np.int64)
-    if received.ndim not in (1, 2) or received.shape[0] != S.t:
-        raise InvalidArgumentError("received word has wrong length")
     count = S.p**S.message_len
-    if count > budget:
-        raise ResourceLimitError(
-            f"decode enumeration of {count} messages exceeds budget {budget}"
-        )
-    if received.size and (received.min() < 0 or received.max() >= S.p):
-        raise InvalidArgumentError(
-            f"received symbols must lie in [0, {S.p}), got "
-            f"{int(received.min())}..{int(received.max())}"
-        )
     symbol = np.min_scalar_type(S.p)
     codebook = np.empty((S.t, count), dtype=symbol)
     for lo, words in _codeword_blocks(S):
         codebook[:, lo:lo + words.shape[1]] = words
     del words  # the last int64 block: free it before the distance buffers exist
-    batch = received.reshape(S.t, -1).astype(symbol)
+    batch = batch.astype(symbol)
     n = batch.shape[1]
     best = np.empty(n, dtype=np.intp)
     corrections = np.empty(n, dtype=np.int64)
@@ -244,7 +255,66 @@ def md_decode(S: GeneratorMatrix, received, budget: int = DECODE_BUDGET) -> Deco
         best[lo:hi] = first
         ambiguous[lo:hi] = last != first  # another message is just as close
         corrections[lo:hi] = dist[np.arange(hi - lo), first]
-    message = _messages(S.p, S.message_len, best)
+    return best, corrections, ambiguous
+
+
+def md_decode(S: GeneratorMatrix, received, budget: int = DECODE_BUDGET) -> DecodeResult:
+    """Minimum-Hamming-distance decoding of a word or a batch.
+
+    ``received`` is one (T,) word or a (T, n) batch of words in columns,
+    with every symbol in [0, p); a batch returns ``message`` as
+    (message_len, n) and ``corrections`` and ``ambiguous`` as (n,) arrays,
+    column by column equal to decoding each word alone. Guaranteed correct
+    for error weight <= floor((d-1)/2). Ties are reported ambiguous and
+    resolved to the lexicographically smallest message (first symbol most
+    significant).
+
+    Decoding has two tiers, and both give what an exhaustive search over
+    all p^message_len codewords gives.
+
+    - Tier 0 resolves codewords. Let I be the first information set of S
+      (``_information_set``). For each word r, w = S_I^-1 r_I mod p; if
+      S w = r, r is a codeword. A codeword S v has r_I = S_I v, so every
+      codeword passes, with w = v. An invertible S_I makes S injective, so
+      w is the only message at distance 0: 0 corrections, not ambiguous.
+    - Every other word, and every word when S has rank < message_len, goes
+      to the exhaustive search (``_nearest``). Its codebook is encoded only
+      when some word gets there.
+
+    The budget and symbol checks come first, so a batch of codewords
+    raises the same errors as any other. Tier 0 holds a few arrays of the
+    batch's own size; the exhaustive search holds the codebook and a
+    distance buffer bounded by ``DECODE_CHUNK_CELLS``. int64 sums of
+    products stay below message_len (p-1)^2, under 2^41 within the default
+    budget.
+    """
+    received = np.asarray(received, dtype=np.int64)
+    if received.ndim not in (1, 2) or received.shape[0] != S.t:
+        raise InvalidArgumentError("received word has wrong length")
+    count = S.p**S.message_len
+    if count > budget:
+        raise ResourceLimitError(
+            f"decode enumeration of {count} messages exceeds budget {budget}"
+        )
+    if received.size and (received.min() < 0 or received.max() >= S.p):
+        raise InvalidArgumentError(
+            f"received symbols must lie in [0, {S.p}), got "
+            f"{int(received.min())}..{int(received.max())}"
+        )
+    batch = received.reshape(S.t, -1)
+    n = batch.shape[1]
+    message = np.empty((S.message_len, n), dtype=np.int64)
+    corrections = np.zeros(n, dtype=np.int64)
+    ambiguous = np.zeros(n, dtype=bool)
+    rest = np.arange(n)
+    info = _information_set(S)
+    if info is not None:
+        rows, inverse = info
+        message[:] = inverse @ batch[rows] % S.p
+        rest = np.flatnonzero(np.any(encode(S, message) != batch, axis=0))
+    if rest.size:
+        best, corrections[rest], ambiguous[rest] = _nearest(S, batch[:, rest])
+        message[:, rest] = _messages(S.p, S.message_len, best).T
     if received.ndim == 1:
-        return DecodeResult(message[0], int(corrections[0]), bool(ambiguous[0]))
-    return DecodeResult(message.T, corrections, ambiguous)
+        return DecodeResult(message[:, 0], int(corrections[0]), bool(ambiguous[0]))
+    return DecodeResult(message, corrections, ambiguous)

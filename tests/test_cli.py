@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import io
@@ -316,6 +317,29 @@ class TestAlign:
         run(tmp_path, "align", "--p", "3", "5", "7", "11", "--trials", "20",
             "--set", "geometry=canonical")
         assert calls == [2]
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "mitm"])
+    def test_only_non_codewords_reach_the_exhaustive_decoder(self, tmp_path, monkeypatch, strategy):
+        # the benchmark's align_mc command at seed 0: md_decode gets 1,200
+        # words per prime, and the codewords among them never reach the search
+        decoded, searched = collections.Counter(), collections.Counter()
+        decode, nearest = cli.fpcode.md_decode, cli.fpcode._nearest
+
+        def counted_decode(S, received, budget=cli.fpcode.DECODE_BUDGET):
+            decoded[S.p] += received.shape[1]
+            return decode(S, received, budget)
+
+        def counted_nearest(S, batch):
+            searched[S.p] += batch.shape[1]
+            return nearest(S, batch)
+
+        monkeypatch.setattr(cli.fpcode, "md_decode", counted_decode)
+        monkeypatch.setattr(cli.fpcode, "_nearest", counted_nearest)
+        run(tmp_path, "align", "--p", "3", "5", "7", "11", "--trials", "300",
+            "--set", "geometry=canonical", "--l", "1", "--set", "noise_variance=1",
+            "--set", "c5=1.0", "--set", f"demod_strategy={strategy}")
+        assert decoded == {3: 1200, 5: 1200, 7: 1200, 11: 1200}
+        assert searched == {3: 244, 5: 116, 7: 46}
 
     @pytest.mark.parametrize("geometry", ["example", "canonical"])
     def test_non_prime_p_rejected_before_the_channel_draw(self, tmp_path, monkeypatch, geometry):

@@ -48,6 +48,7 @@ def loop_md_decode(S, received):
 def assert_same_decode(res, ref):
     assert res.message.dtype == ref.message.dtype == np.int64
     assert res.corrections.dtype == ref.corrections.dtype == np.int64
+    assert res.ambiguous.dtype == ref.ambiguous.dtype == bool
     assert np.array_equal(res.message, ref.message)
     assert np.array_equal(res.corrections, ref.corrections)
     assert np.array_equal(res.ambiguous, ref.ambiguous)
@@ -359,6 +360,61 @@ class TestMdDecodeAgainstLoop:
             finally:
                 tracemalloc.stop()
             assert peak < 48 * 2**20, peak
+
+
+class TestCodewordTier:
+    # rows 0 and 1 are dependent over F_3: the first information set is rows 0 and 2
+    DEPENDENT_TOP = fpcode.GeneratorMatrix(3, np.array([[1, 2], [2, 1], [0, 1], [1, 1], [2, 0]]))
+
+    def test_information_set_is_first_independent_rows(self):
+        rows, inverse = fpcode._information_set(self.DEPENDENT_TOP)
+        assert rows.tolist() == [0, 2]
+        S_I = self.DEPENDENT_TOP.entries[rows]
+        assert (inverse @ S_I % 3).tolist() == [[1, 0], [0, 1]]
+        assert fpcode._information_set(fpcode.GeneratorMatrix(5, np.array([[1, 2], [2, 4]]))) is None
+
+    def count_searches(self, monkeypatch):
+        calls = []
+        blocks = fpcode._codeword_blocks
+
+        def counted(S):
+            calls.append(S.p)
+            return blocks(S)
+
+        monkeypatch.setattr(fpcode, "_codeword_blocks", counted)
+        return calls
+
+    def test_codewords_only_never_encode_the_codebook(self, monkeypatch):
+        calls = self.count_searches(monkeypatch)
+        S = self.DEPENDENT_TOP
+        messages = fpcode.all_messages(3, 2).T
+        res = fpcode.md_decode(S, fpcode.encode(S, messages))
+        assert calls == []
+        assert np.array_equal(res.message, messages)
+        assert not res.corrections.any() and not res.ambiguous.any()
+        one = fpcode.md_decode(S, fpcode.encode(S, messages[:, 5]))
+        assert calls == [] and one.corrections == 0 and one.ambiguous is False
+        # one word off the code: the codebook is encoded once for it
+        batch = fpcode.encode(S, messages)
+        batch[0, 4] = (batch[0, 4] + 1) % 3
+        assert_same_decode(fpcode.md_decode(S, batch), loop_md_decode(S, batch))
+        assert calls == [3]
+
+    def test_rank_deficient_code_searches_every_word(self, monkeypatch):
+        calls = self.count_searches(monkeypatch)
+        S = fpcode.GeneratorMatrix(3, np.array([[1, 2], [2, 1], [0, 0], [1, 2]]))  # rank 1
+        batch = fpcode.encode(S, fpcode.all_messages(3, 2).T)
+        assert_same_decode(fpcode.md_decode(S, batch), loop_md_decode(S, batch))
+        assert calls == [3]
+
+    def test_codewords_only_still_check_the_budget(self):
+        S = fpcode.gv_search(5, 15, 3, seed=5, message_len=4)
+        words = fpcode.encode(S, np.random.default_rng(0).integers(0, 5, size=(4, 10)))
+        with pytest.raises(ResourceLimitError, match="625 messages exceeds budget 624"):
+            fpcode.md_decode(S, words, budget=624)
+        with pytest.raises(ResourceLimitError):
+            fpcode.md_decode(S, words[:, 0], budget=624)
+        assert not fpcode.md_decode(S, words, budget=625).corrections.any()
 
 
 class TestReceivedSymbolRange:
