@@ -15,12 +15,22 @@ Coefficient optimization is exact over the integer ball
 vectors: for any K the search LLL-reduces the form and enumerates it
 (Schnorr-Euchner). Candidates are ranked by the same loss expression as the
 exhaustive oracle, so the two agree bit for bit.
+
+One search works on a K-vector, so its per-call work (input checks, the LLL
+basis and its LDL^T, the seed radius, the enumeration) runs on Python floats
+and ints: at K <= 4 a numpy call costs more than its arithmetic. What sets the
+output is vectorised and shared with the oracle: ``_loss_values`` over the
+pooled candidates and the ``np.lexsort`` ranking on them. The basis and the
+radius only decide which vectors enter the pool, and every vector that can rank
+in the top n does, whatever their float error (``_RADIUS_SLACK``), so the
+output bytes do not depend on how the basis was reduced.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +58,25 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / DB_LOG_BASE)
 
 
+def _finite(x: np.ndarray) -> bool:
+    return all(map(math.isfinite, x.ravel().tolist()))
+
+
+def _check_power(power, floor: float = 0.0) -> float:
+    """``float(power)``, rejected unless it is finite and exceeds ``floor``."""
+    p = float(power)
+    if not (p > floor and math.isfinite(p)):
+        raise InvalidArgumentError("power must be positive and finite" if floor == 0.0
+                                   else f"power must exceed {floor:g} and be finite")
+    return p
+
+
 def _as_channel(H) -> np.ndarray:
     """Real K x K channel gains h[m, k] (receiver m, transmitter k), checked."""
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InvalidArgumentError("channel matrix must be square")
-    if not np.all(np.isfinite(H)):
+    if not _finite(H):
         raise InvalidArgumentError("channel gains must be finite")
     return H
 
@@ -61,13 +84,12 @@ def _as_channel(H) -> np.ndarray:
 def _check_vec(h, a, power) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=float)
     a = np.asarray(a)
-    if not np.all(np.isfinite(h)):
+    if not _finite(h):
         raise InvalidArgumentError("h must be finite")
-    if not np.all(np.isfinite(power)) or np.any(np.asarray(power) <= 0):
-        raise InvalidArgumentError("power must be positive and finite")
+    _check_power(power)
     if a.shape != h.shape:
         raise InvalidArgumentError("h and a must have the same length")
-    if not np.any(a):
+    if not any(a.ravel().tolist()):
         raise InvalidArgumentError("coefficient vector must be nonzero")
     return h, a.astype(float)
 
@@ -89,12 +111,16 @@ def loss_term(h, power, a) -> float:
     return _loss(h, power, a)
 
 
+def _rate(h: np.ndarray, power, a: np.ndarray) -> float:
+    """``lattice_rate_single`` on inputs that ``_check_vec`` has already validated."""
+    rate = 0.5 * np.log2(1.0 + float(power) * float(h @ h)) - 0.5 * np.log2(_loss(h, power, a))
+    return float(max(0.0, rate))
+
+
 def lattice_rate_single(h, power, a) -> float:
     """Achievable lattice rate for one equation, clamped at zero bits."""
     h, a = _check_vec(h, a, power)
-    loss = _loss(h, power, a)
-    rate = 0.5 * np.log2(1.0 + float(power) * float(h @ h)) - 0.5 * np.log2(loss)
-    return float(max(0.0, rate))
+    return _rate(h, power, a)
 
 
 def _loss_values(h: np.ndarray, power: float, A: np.ndarray) -> np.ndarray:
@@ -137,27 +163,54 @@ def _lll(h: np.ndarray, power: float, hn2: float) -> tuple[list, list, list]:
 
     Gram entries keep the loss's arrangement n + P(||h||^2 n - (h.b_u)(h.b_v)),
     n = b_u.b_v exact, so a short vector's norm is no difference of two numbers near P ||h||^2.
+    It is scalar arithmetic: the basis is Python ints, the LDL^T rows are
+    Python floats, and only the rows from the first one that a size
+    reduction or swap changed are recomputed. A pivot that is not positive
+    raises NumericRangeError. The basis only steers ``_enumerate``; the
+    ranking is recomputed from the pooled vectors, so its float error never
+    reaches the output.
     """
-    k = h.size
-    basis = np.eye(k)  # integer rows, exact in float
-    i = 1
+    hs = h.tolist()
+    k = len(hs)
+    basis = [[int(u == v) for v in range(k)] for u in range(k)]
+    dots = hs[:]  # h . b_u
+    mu = [[float(u == v) for v in range(k)] for u in range(k)]
+    r = [0.0] * k
+
+    def ldl_row(u):
+        bu, du, mu_u = basis[u], dots[u], mu[u]
+        for v in range(u + 1):
+            n = sum(x * y for x, y in zip(bu, basis[v]))
+            g = n + power * (hn2 * n - du * dots[v])
+            g -= sum(mu_u[l] * mu[v][l] * r[l] for l in range(v))
+            if v < u:
+                mu_u[v] = g / r[v]
+            elif g > 0.0:
+                r[u] = g
+            else:
+                raise NumericRangeError(f"Cholesky of the loss form failed: pivot {g:.3g} "
+                                        f"of row {u} is not positive")
+
+    i, fresh = 1, 0  # rows below `fresh` of (mu, r) match the basis
     while True:
-        inner, dots = basis @ basis.T, basis @ h
-        try:
-            L = np.linalg.cholesky(inner + power * (hn2 * inner - np.outer(dots, dots)))
-        except np.linalg.LinAlgError as exc:
-            raise NumericRangeError(f"Cholesky of the loss form failed: {exc}") from exc
-        mu, r = (L / np.diag(L)).tolist(), (np.diag(L) ** 2).tolist()
+        while fresh < min(i + 1, k):
+            ldl_row(fresh)
+            fresh += 1
         if i == k:
-            return basis.astype(int).tolist(), mu, r
+            return basis, mu, r
         for j in range(i - 1, -1, -1):
             q = round(mu[i][j])
-            basis[i] -= q * basis[j]
-            mu[i] = [x - q * y for x, y in zip(mu[i], mu[j])]
+            if q:
+                basis[i] = [x - q * y for x, y in zip(basis[i], basis[j])]
+                mu[i] = [x - q * y for x, y in zip(mu[i], mu[j])]
+                dots[i] = sum(x * y for x, y in zip(basis[i], hs))
+                fresh = i
         if r[i] >= (0.99 - mu[i][i - 1] ** 2) * r[i - 1]:  # Lovasz condition
             i += 1
         else:
-            basis[[i - 1, i]] = basis[[i, i - 1]]
+            basis[i - 1], basis[i] = basis[i], basis[i - 1]
+            dots[i - 1], dots[i] = dots[i], dots[i - 1]
+            fresh = min(fresh, i - 1)
             i = max(i - 1, 1)
 
 
@@ -170,18 +223,31 @@ def _enumerate(h: np.ndarray, power: float, n: int, budget: int) -> np.ndarray:
     with coefficients in a small box, and shrinks to the n-th best value
     found. Each radius is widened by ``slack``, which covers the float
     error of the enumerated values and of ``_loss_values``.
+
+    The seeds, the walk and the leaves are scalar Python arithmetic on the
+    K coordinates. Only the returned pool reaches the output: it holds every
+    vector that can rank in the top n, whichever basis and radius led to it,
+    and ``_ranked_candidates`` ranks it with the vectorised ``_loss_values``.
     """
     k, hn2, bound = h.size, float(h @ h), _search_bound(h, power)
-    slack = 1.0 + _RADIUS_SLACK * k * np.finfo(float).eps * (1.0 + power * hn2)
+    slack = 1.0 + _RADIUS_SLACK * k * math.ulp(1.0) * (1.0 + power * hn2)
     if not slack < 2.0:
         raise NumericRangeError(f"P ||h||^2 = {power * hn2:.3g} is past double precision")
     basis, mu, r = _lll(h, power, hn2)
+    hs = h.tolist()
     w = next(w for w in itertools.count(1) if (2 * w + 1) ** k // 2 >= n)
-    Z = np.indices((2 * w + 1,) * k).reshape(k, -1).T[(2 * w + 1) ** k // 2 + 1:] - w
-    A = Z @ np.array(basis, dtype=float)
-    seeds = np.sort(_loss_values(h, power, A[np.einsum("ij,ij->i", A, A) <= bound]))
+    # the box points after its centre in product order: first nonzero z_i positive
+    box = itertools.product(range(-w, w + 1), repeat=k)
+    seeds = []
+    for zs in itertools.islice(box, (2 * w + 1) ** k // 2 + 1, None):
+        a = [sum(zj * b[col] for zj, b in zip(zs, basis)) for col in range(k)]
+        n2 = sum(x * x for x in a)
+        if n2 <= bound:
+            dot = sum(x * y for x, y in zip(a, hs))
+            seeds.append(n2 + power * (hn2 * n2 - dot * dot))
     # too few seeds in the ball: every in-ball a has q(a) <= (1 + P ||h||^2) ||a||^2
-    radius = slack * (float(seeds[n - 1]) if seeds.size >= n else (1.0 + power * hn2) * bound)
+    radius = slack * (heapq.nsmallest(n, seeds)[-1] if len(seeds) >= n
+                      else (1.0 + power * hn2) * bound)
     z, pool, heap, leaves = [0] * k, [], [], 0  # heap: the n smallest values, negated
 
     def visit(i, partial):
@@ -218,17 +284,16 @@ def _enumerate(h: np.ndarray, power: float, n: int, budget: int) -> np.ndarray:
 
 def _ranked_candidates(h, power, mode, budget, n) -> np.ndarray:
     h = np.asarray(h, dtype=float)
-    if not np.all(np.isfinite(h)):
+    if not _finite(h):
         raise InvalidArgumentError("h must be finite")
-    if power <= 0 or not np.isfinite(power):
-        raise InvalidArgumentError("power must be positive and finite")
+    power = _check_power(power)
     if mode == "auto":
-        A = _enumerate(h, float(power), n, budget)
+        A = _enumerate(h, power, n, budget)
     elif mode == "exhaustive":
         A = _enumerate_ball(h, power, budget)
     else:
         raise InvalidArgumentError(f"unknown search mode {mode!r}")
-    loss = _loss_values(h, float(power), A)
+    loss = _loss_values(h, power, A)
     n2 = np.einsum("ij,ij->i", A, A)
     order = np.lexsort(tuple(A.T[::-1]) + (n2, loss))
     return A[order].astype(int)
@@ -364,7 +429,8 @@ def lattice_sum_rate(
             f"K={k} exceeds the exhaustive sum-rate limit {exhaustive_limit}"
         )
     cands = [np.array(top_coefficient_vectors(H[m], power, top_n)) for m in range(k)]
-    scores = [np.array([lattice_rate_single(H[m], power, a) for a in cands[m]])
+    # the search has checked the rows and the power, and no candidate is zero
+    scores = [np.array([_rate(H[m], power, a) for a in cands[m].astype(float)])
               for m in range(k)]
     # combo index grid in itertools.product order: receiver 0 varies slowest
     idx = np.indices([len(c) for c in cands]).reshape(k, -1)
@@ -384,8 +450,7 @@ def lattice_sum_rate(
 def time_sharing_rate(H, power) -> float:
     """Sum rate of round-robin single-user transmission at boosted power."""
     H = _as_channel(H)
-    if power <= 0:
-        raise InvalidArgumentError("power must be positive")
+    power = _check_power(power)
     k = H.shape[0]
     diag = np.diag(H)
     return float(np.sum(np.log2(1.0 + k * power * diag**2)) / (2.0 * k))
@@ -393,8 +458,7 @@ def time_sharing_rate(H, power) -> float:
 
 def ia_baseline(k: int, power) -> float:
     """Interference-alignment reference line (K/4) log2 P, plot-only."""
-    if power <= 1:
-        raise InvalidArgumentError("power must exceed 1")
+    power = _check_power(power, 1.0)
     return 0.25 * k * float(np.log2(power))
 
 
@@ -405,8 +469,7 @@ def mimo_upper_bound(H, power) -> float:
     water level is found by bisection to ``MIMO_REL_TOL`` relative accuracy.
     """
     H = _as_channel(H)
-    if power <= 0:
-        raise InvalidArgumentError("power must be positive")
+    power = _check_power(power)
     k = H.shape[0]
     s2 = np.linalg.svd(H, compute_uv=False) ** 2
     s2 = s2[s2 > 0.0]

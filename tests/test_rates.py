@@ -21,6 +21,100 @@ def exact_loss(h, power, a):
     return n2 + P * (hn2 * n2 - dot * dot)
 
 
+def numpy_mu_r(basis, h, power, hn2):
+    """(mu, r) of the loss form on the rows of ``basis``, through numpy's Cholesky."""
+    basis = np.asarray(basis, dtype=float)
+    inner, dots = basis @ basis.T, basis @ h
+    L = np.linalg.cholesky(inner + power * (hn2 * inner - np.outer(dots, dots)))
+    return (L / np.diag(L)).tolist(), (np.diag(L) ** 2).tolist()
+
+
+def numpy_lll(h, power, hn2):
+    """The numpy-Cholesky LLL reduction: the oracle of the scalar ``rates._lll``.
+
+    The basis is a float array, and the whole factorisation is redone after
+    every size reduction and swap.
+    """
+    k = h.size
+    basis = np.eye(k)
+    i = 1
+    while True:
+        mu, r = numpy_mu_r(basis, h, power, hn2)
+        if i == k:
+            return basis.astype(int).tolist(), mu, r
+        for j in range(i - 1, -1, -1):
+            q = round(mu[i][j])
+            basis[i] -= q * basis[j]
+            mu[i] = [x - q * y for x, y in zip(mu[i], mu[j])]
+        if r[i] >= (0.99 - mu[i][i - 1] ** 2) * r[i - 1]:
+            i += 1
+        else:
+            basis[[i - 1, i]] = basis[[i, i - 1]]
+            i = max(i - 1, 1)
+
+
+NAN, INF = math.nan, math.inf
+POWER_MSG = "power must be positive and finite"
+# the same literal messages, in the same order of checks, as the numpy
+# validation that the Python-float checks replaced
+BAD_POWERS = ([pytest.param(p, id=f"float{p}") for p in (0.0, -1.0, NAN, INF)]
+              + [pytest.param(np.array(p), id=f"0d{p}") for p in (0.0, -1.0, NAN, INF)]
+              + [pytest.param(0, id="int0"), pytest.param(-1, id="int-1")])
+VEC_FUNCTIONS = [rates.loss_term, rates.lattice_rate_single, rates.loss_tradeoff_check]
+VEC_CASES = [
+    pytest.param([NAN, 1.0], 1.0, [1, 0], "h must be finite", id="nan-h"),
+    pytest.param([1.0, INF], 1.0, [1, 0], "h must be finite", id="inf-h"),
+    pytest.param(np.array([-INF, 1.0]), 1.0, np.array([1, 0]), "h must be finite", id="-inf-h-array"),
+    pytest.param([1.0, 0.5], 1.0, [1, 1, 0], "h and a must have the same length", id="shape"),
+    pytest.param([1.0, 0.5], 1.0, [0, 0], "coefficient vector must be nonzero", id="zero-a"),
+    pytest.param([1, 2], 10, np.zeros(2, dtype=int), "coefficient vector must be nonzero", id="zero-a-ints"),
+    pytest.param([NAN, 1], 0, [0, 0], "h must be finite", id="h-before-power"),
+    pytest.param([1, 1], 0, [0], POWER_MSG, id="power-before-shape"),
+    pytest.param([1, 1], 1, [0], "h and a must have the same length", id="shape-before-zero-a"),
+]
+SEARCH_FUNCTIONS = [rates.best_coefficient_vector,
+                    lambda h, power, **kw: rates.top_coefficient_vectors(h, power, 4, **kw)]
+SEARCH_CASES = [
+    pytest.param([NAN, 1.0], 1.0, "auto", "h must be finite", id="nan-h"),
+    pytest.param([1.0, INF], 1.0, "exhaustive", "h must be finite", id="inf-h"),
+    pytest.param(np.array([-INF, 1.0]), 1.0, "auto", "h must be finite", id="-inf-h-array"),
+    pytest.param([0, 0], 10, "auto", "channel row must be nonzero", id="zero-h"),
+    pytest.param([0, 0], 10, "exhaustive", "channel row must be nonzero", id="zero-h-exhaustive"),
+    pytest.param([1, 1], 10, "fast", "unknown search mode 'fast'", id="bad-mode"),
+    pytest.param([NAN, 1], 0, "auto", "h must be finite", id="h-before-power"),
+    pytest.param([1, 1], 0, "fast", POWER_MSG, id="power-before-mode"),
+]
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("fn", VEC_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("h, power, a, msg", VEC_CASES)
+    def test_vector_inputs(self, fn, h, power, a, msg):
+        assert raised(lambda: fn(h, power, a)) == (InvalidArgumentError, msg)
+
+    @pytest.mark.parametrize("fn", VEC_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("power", BAD_POWERS)
+    def test_vector_power(self, fn, power):
+        assert raised(lambda: fn([1.0, 0.5], power, [1, 1])) == (InvalidArgumentError, POWER_MSG)
+
+    @pytest.mark.parametrize("fn", SEARCH_FUNCTIONS, ids=["best", "top"])
+    @pytest.mark.parametrize("h, power, mode, msg", SEARCH_CASES)
+    def test_search_inputs(self, fn, h, power, mode, msg):
+        assert raised(lambda: fn(h, power, mode=mode)) == (InvalidArgumentError, msg)
+
+    @pytest.mark.parametrize("fn", SEARCH_FUNCTIONS, ids=["best", "top"])
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive"])
+    @pytest.mark.parametrize("power", BAD_POWERS)
+    def test_search_power(self, fn, mode, power):
+        assert raised(lambda: fn([1.0, 0.5], power, mode=mode)) == (InvalidArgumentError, POWER_MSG)
+
+
 class TestLossTerm:
     def test_collinear_any_power(self):
         for P in (1.0, 10.0, 1e6):
@@ -333,6 +427,16 @@ class TestBaselines:
         split = np.linspace(0.0, 2 * P, 20001)
         vals = 0.5 * np.log2(1 + s2[0] * split) + 0.5 * np.log2(1 + s2[1] * (2 * P - split))
         assert rates.mimo_upper_bound(H, P) == pytest.approx(float(vals.max()), abs=1e-6)
+
+    @pytest.mark.parametrize("power", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("baseline, match", [
+        (lambda P: rates.time_sharing_rate(np.eye(2), P), "power must be positive"),
+        (lambda P: rates.ia_baseline(2, P), "power must exceed 1"),
+        (lambda P: rates.mimo_upper_bound(np.eye(2), P), "power must be positive"),
+    ], ids=["time_sharing", "ia", "mimo"])
+    def test_non_finite_power_is_rejected(self, baseline, match, power):
+        with pytest.raises(InvalidArgumentError, match=match):
+            baseline(power)
 
     def test_ordering_invariants(self):
         rng = np.random.default_rng(9)
