@@ -25,6 +25,9 @@ UNIQUE_FACTORIZATION_REL_TOL = 1e-9
 # cap on the number of enumerated integer combinations per separation call
 DEFAULT_COMBO_BUDGET = 1 << 22
 
+# cap on the bytes one monomial set is charged (``_monomial_set_bytes``)
+MONOMIAL_SET_BYTE_BUDGET = 1 << 30
+
 
 @dataclass
 class MonomialSet:
@@ -64,13 +67,58 @@ def evaluate_monomial(gains_flat: np.ndarray, exponents) -> float:
     return value
 
 
+def _monomial_set_bytes(k: int, L: int) -> int:
+    """Bytes charged for ``build_monomial_set`` at K = k: per monomial, its
+    K^2 int64 exponents and six more 8-byte words. The sort and the digit
+    split hold three (values, order, digit buffer), the longdouble
+    evaluation before them at most four, plus its range-check masks."""
+    return L ** (k * k) * (8 * k * k + 48)
+
+
+def _lex_digits(index: np.ndarray, L: int, n: int) -> np.ndarray:
+    """Exponents of the monomials at ``index`` in exponent-lexicographic order:
+    the n base-L digits of each index, most significant first, as (len, n) int64."""
+    out = np.empty((len(index), n), dtype=np.int64)
+    rest = index.astype(np.int64)
+    for j in range(n - 1, -1, -1):
+        np.divmod(rest, L, out=(rest, out[:, j]))
+    return out
+
+
+def _prefix_products(gains: np.ndarray, L: int) -> np.ndarray:
+    """The longdouble values of all L^len(gains) monomials, in exponent-lexicographic order."""
+    acc = np.ones(1, dtype=np.longdouble)
+    for gain in gains:
+        squares = [np.longdouble(gain)]  # gain^(2^b)
+        for _ in range((L - 1).bit_length() - 1):
+            squares.append(squares[-1] * squares[-1])
+        grown = np.empty((len(acc), L), dtype=np.longdouble)
+        grown[:, 0] = acc
+        for e in range(1, L):
+            top = e.bit_length() - 1
+            np.multiply(grown[:, e - (1 << top)], squares[top], out=grown[:, e])
+        acc = grown.reshape(-1)
+    return acc
+
+
 def build_monomial_set(H, L: int) -> MonomialSet:
     """All L^(K^2) monomials of the channel gains, sorted by (value, exponents).
 
-    Monomial ``code`` has exponent ``(code // L^j) % L`` on gain j. All of
-    them are evaluated at once with the square-and-multiply order of
-    ``evaluate_monomial`` (gain by gain, low bit first), so every value is
-    bit-identical to the scalar evaluation.
+    The values are prefix products, gain by gain, in exponent-lexicographic
+    order (e_0 most significant): after gain j, entry ``i L + e`` is prefix
+    ``i`` times gain j to the power e. That power multiplies in gain^(2^b)
+    for each set bit b of e, low bit first, as one multiplication of entry
+    ``e`` without its top bit. These are the longdouble multiplications of
+    ``evaluate_monomial`` in its order, so every value is bit-identical to
+    the scalar evaluation. Since the entries are in exponent order, one
+    stable sort of the values gives the (value, exponents) order, ties
+    included, and the exponents are the base-L digits of the sorted entries.
+
+    A range error names the first bad monomial in generation order (e_0
+    least significant), as a loop of ``evaluate_monomial`` calls does. A set
+    charged more than ``MONOMIAL_SET_BYTE_BUDGET`` bytes (K=3 is admitted up
+    to L=5, K=4 from L=3 is not) raises ResourceLimitError before any
+    allocation.
     """
     H = np.asarray(H, dtype=float)
     if L < 1:
@@ -78,24 +126,28 @@ def build_monomial_set(H, L: int) -> MonomialSet:
     if H.ndim != 2 or H.shape[0] != H.shape[1] or not np.all(np.isfinite(H)):
         raise InvalidArgumentError("H must be a finite square matrix")
     k = H.shape[0]
-    gains = H.reshape(-1)
     n = k * k
-    exps = np.arange(L**n, dtype=np.int64)[:, None] // L ** np.arange(n, dtype=np.int64) % L
-    acc = np.ones(len(exps), dtype=np.longdouble)
+    charged = _monomial_set_bytes(k, L)
+    if charged > MONOMIAL_SET_BYTE_BUDGET:
+        raise ResourceLimitError(
+            f"G_{L} at K={k} has {L ** n} monomials, charged {charged} bytes "
+            f"against the budget of {MONOMIAL_SET_BYTE_BUDGET}"
+        )
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for j in range(n):
-            base = np.longdouble(gains[j])
-            for bit in range((L - 1).bit_length()):
-                odd = (exps[:, j] >> bit) & 1 == 1
-                acc[odd] *= base
-                base = base * base
+        acc = _prefix_products(H.reshape(-1), L)
         values = acc.astype(float)
     bad = ~np.isfinite(values) | ((values == 0.0) & (acc != 0))
     if np.any(bad):
-        first = tuple(int(e) for e in exps[np.argmax(bad)])
-        raise NumericRangeError(f"monomial value overflow/underflow at exponents {first}")
-    order = np.lexsort((*exps.T[::-1], values))
-    return MonomialSet(exps[order], values[order], L, k)
+        exps = _lex_digits(np.flatnonzero(bad), L, n)
+        # generation order has e_{n-1} most significant: lexsort's last key
+        first = exps[np.lexsort(exps.T)[0]]
+        raise NumericRangeError(
+            f"monomial value overflow/underflow at exponents {tuple(int(e) for e in first)}"
+        )
+    del acc, bad  # the charge counts on the sort not overlapping the evaluation
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    return MonomialSet(_lex_digits(order, L, n), values, L, k)
 
 
 def check_unique_factorization(values) -> bool:

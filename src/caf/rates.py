@@ -313,7 +313,8 @@ def best_coefficient_vector(
     """
     ranked = _ranked_candidates(h, power, mode, budget, 1)
     a = ranked[0]
-    return a, lattice_rate_single(np.asarray(h, dtype=float), power, a)
+    # _ranked_candidates has checked h and power: score the winner unchecked
+    return a, _rate(np.asarray(h, dtype=float), power, a.astype(float))
 
 
 def top_coefficient_vectors(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from caf import cli
-from caf.errors import InvalidArgumentError, NumericRangeError
+from caf.errors import InvalidArgumentError, NumericRangeError, ResourceLimitError
 
 
 def no_channel_draw(*args, **kwargs):
@@ -423,6 +423,21 @@ class TestInvert:
             cli.main(["invert", flag, value, "--p", "3", "--set", "samples=2",
                       "--out", str(tmp_path / "o")])
         assert not (tmp_path / "o" / "invert.csv").exists()
+
+    @pytest.mark.parametrize("l", ["2", "20"])
+    def test_k4_refused_by_the_monomial_set_budget(self, tmp_path, l):
+        # G_{L+1} at K=4 has (L+1)^16 monomials: 43,046,721 already at L=2
+        with pytest.raises(ResourceLimitError, match=r"G_\d+ at K=4 has \d+ monomials"):
+            cli.main(["invert", "--k", "4", "--l", l, "--p", "3", "--set", "samples=1",
+                      "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o" / "invert.csv").exists()
+
+    def test_k3_l3_csv_digest(self, tmp_path):
+        # G_4 values feed the genericity check: both draws are rejected at seed 0
+        out = run(tmp_path, "invert", "--k", "3", "--l", "3", "--p", "3", "--set", "samples=2",
+                  "--seed", "0")
+        digest = hashlib.sha256((out / "invert.csv").read_bytes()).hexdigest()
+        assert digest == "f55d42d644f098c029eada63374a80f67886501fe7d34c6f4a0a15d09f098869"
 
     def test_negative_samples_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError, match="samples must be >= 0, got -4"):

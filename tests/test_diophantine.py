@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,24 @@ def loop_monomial_set(H, L):
     return exponents, np.array([v for v, _ in monomials])
 
 
+def masked_monomial_set(H, L):
+    """Reference: square-and-multiply on all monomials at once, one boolean mask
+    per (gain, bit), then a (value, exponents) lexsort. Same return as
+    ``loop_monomial_set``, fast enough for all of G_4 at K=3."""
+    gains = np.asarray(H, dtype=float).reshape(-1)
+    n = gains.size
+    exps = np.arange(L**n, dtype=np.int64)[:, None] // L ** np.arange(n, dtype=np.int64) % L
+    acc = np.ones(len(exps), dtype=np.longdouble)
+    for j in range(n):
+        base = np.longdouble(gains[j])
+        for bit in range((L - 1).bit_length()):
+            acc[(exps[:, j] >> bit) & 1 == 1] *= base
+            base = base * base
+    values = acc.astype(float)
+    order = np.lexsort((*exps.T[::-1], values))
+    return exps[order], values[order]
+
+
 def assert_same_set(got, want_exponents, want_values):
     assert got.exponents.dtype == np.int64 and got.values.dtype == np.float64
     assert got.exponents.shape == want_exponents.shape
@@ -101,6 +120,55 @@ class TestMonomialSetAgainstLoop:
         with pytest.raises(NumericRangeError) as got:
             dio.build_monomial_set(H, 3)
         assert str(got.value) == str(want.value)
+
+
+class TestByteBudget:
+    def test_bound_admits_k3_to_g5_and_refuses_k4_g3(self):
+        assert dio._monomial_set_bytes(3, 5) <= dio.MONOMIAL_SET_BYTE_BUDGET
+        assert dio._monomial_set_bytes(4, 3) > dio.MONOMIAL_SET_BYTE_BUDGET
+
+    @pytest.mark.parametrize("L", [3, 21])
+    def test_k4_refused_before_any_allocation(self, L):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as exc:
+                dio.build_monomial_set(np.full((4, 4), 1.1), L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            f"G_{L} at K=4 has {L ** 16} monomials, charged {dio._monomial_set_bytes(4, L)} "
+            f"bytes against the budget of {dio.MONOMIAL_SET_BYTE_BUDGET}")
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("k, L", [(2, 5), (3, 3), (3, 4)])
+    def test_charge_covers_the_traced_peak(self, k, L):
+        H = np.random.default_rng(200 + 10 * k + L).uniform(0.5, 2.0, size=(k, k))
+        dio.build_monomial_set(H, 2)  # first-call allocations are not the build's
+        tracemalloc.start()
+        try:
+            dio.build_monomial_set(H, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dio._monomial_set_bytes(k, L)
+
+    def test_k3_g4_builds_bit_for_bit(self):
+        # the G_{L+1} of `caf invert --k 3 --l 3`: 262,144 monomials. About 60
+        # of them round differently when exponent 3 multiplies gain^2 first
+        H = np.random.default_rng(34).uniform(0.5, 2.0, size=(3, 3))
+        mset = dio.build_monomial_set(H, 4)
+        assert len(mset) == 4**9 and mset.exponents.flags.c_contiguous
+        assert_same_set(mset, *masked_monomial_set(H, 4))
+
+    @pytest.mark.parametrize("k, L", [(2, 4), (3, 2)])
+    def test_masked_oracle_matches_loop(self, k, L):
+        rng = np.random.default_rng(300 + 10 * k + L)
+        for H in (rng.uniform(0.5, 2.0, size=(k, k)), rng.uniform(-2.0, 2.0, size=(k, k))):
+            want = loop_monomial_set(H, L)
+            got_exps, got_values = masked_monomial_set(H, L)
+            assert np.array_equal(got_exps, want[0])
+            assert np.array_equal(got_values.view(np.uint64), want[1].view(np.uint64))
 
 
 class TestUniqueFactorization:

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -224,6 +225,17 @@ class TestBestCoefficientVector:
         a2, rate2 = exhaustive_oracle(h, 1e4)
         assert list(a) == list(a2)
         assert rate == pytest.approx(rate2, abs=0)
+
+    def test_rate_is_the_single_rate_of_the_winner_unchecked(self):
+        # the search has checked h and power; the winner's score must not check them again
+        rng = np.random.default_rng(12)
+        cases = [([1, 2], 10), ([0.5, -1.5, 0.25], np.float64(300.0)), ([2.0], np.array(7.5))]
+        cases += [(list(rng.uniform(-2, 2, size=k)), float(10 ** rng.uniform(0, 4)))
+                  for k in (1, 2, 3, 4) for _ in range(5)]
+        for h, P in cases:
+            with mock.patch.object(rates, "_check_vec", side_effect=AssertionError):
+                a, rate = rates.best_coefficient_vector(h, P)
+            assert rate == rates.lattice_rate_single(h, P, a)
 
     def test_reduced_equals_exhaustive(self):
         rng = np.random.default_rng(11)
