@@ -158,14 +158,13 @@ def canonical_signature(H, L: int, p: int) -> SignatureMap:
         raise NonGenericChannelError(
             "channel monomials collide up to degree L+1; resample H"
         )
-    # G_L: the G_{L+1} monomials with no exponent equal to L. Square-and-multiply
-    # skips zero high bits, so their values are those of a G_L build, bit for bit.
-    # Signature rows are in exponent order so the equation structure (and the
-    # incidence matrix built from it) never depends on float values of H
-    small = (big.exponents < L).all(axis=1)
-    exps, vals = big.exponents[small], big.values[small]
-    order = np.lexsort(exps.T[::-1])
-    exps, vals = exps[order], vals[order]
+    # G_L in exponent order, so the equation structure (and the incidence
+    # matrix built from it) never depends on float values of H. Its values
+    # are the G_{L+1} build's prefix products, bit for bit; G_{L+1} passed
+    # the range check, so they are all in range
+    n = k * k
+    exps = diophantine._lex_digits(np.arange(L ** n), L, n)
+    vals = diophantine._prefix_products(H.reshape(-1), L).astype(float)
     # every transmitter uses all of G_L, so they share the two arrays
     return SignatureMap(H, _canonical_gain_exponents(k), [exps] * k, [vals] * k, p, 1.0, L)
 

@@ -439,6 +439,65 @@ def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corru
 
 # --------------------------------------------------------------- invert
 
+# right-hand-side cells per `caf invert` elimination, 8 samples at K=3 L=2.
+# The elimination's memory grows with its columns: one 100-sample K=3 L=2
+# solve peaks at 35 MiB under tracemalloc, a 100-sample command at 6.5 MiB
+INVERT_BATCH_CELLS = 1 << 15
+
+
+def _row_structure(eqsys):
+    """The rows of ``eqsys`` in (receiver, exponent tuple) order, and its structure in that order.
+
+    The structure is the sorted (receiver, exponent tuple) row keys, the
+    column keys, and the nonzeros as sorted codes (row position) * columns
+    + column. Canonical systems of one (K, L) share one structure: only
+    their row order changes with H.
+    """
+    exps = np.concatenate(eqsys.exponents)
+    receiver = np.repeat(np.arange(eqsys.k), [len(v) for v in eqsys.values])
+    order = np.lexsort((*exps.T[::-1], receiver))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    nonzeros = np.sort(position[eqsys.rows] * len(eqsys.col_keys) + eqsys.cols)
+    return order, (np.column_stack((receiver, exps))[order], eqsys.col_keys, nonzeros)
+
+
+def _invert_batch(eqsys, rhs, sent, full_rank):
+    """(injective_pass, peel_equals_solve) of a batch of samples in ``eqsys``'s row order.
+
+    ``rhs[j]`` (rows, 1) is sample j's equation values in that row order and
+    ``sent[j]`` (columns, 1) its submessages; they become column j of one
+    right-hand side and of the sent matrix. Peeling and elimination treat
+    the columns independently, a row permutation changes neither the rank
+    nor the unique solution, and the peel reads each submessage off its
+    lowest receiver's row, whatever the row order. So one peel and one
+    elimination give every sample the counts of its own.
+    """
+    p = eqsys.p
+    rhs, sent = np.hstack(rhs), np.hstack(sent) % p
+    ends = np.cumsum([len(v) for v in eqsys.values])[:-1]
+    peel = inversion.peel_invert(eqsys, np.split(rhs, ends))
+    incidence = inversion.build_incidence(eqsys)
+    solve = inversion.solve_linear(incidence, rhs)
+    # a matrix's rank does not depend on the right-hand side, so this
+    # elimination is also the injectivity check
+    injective = rhs.shape[1] if solve.rank == full_rank else 0
+    solved = [(solve, slice(None))]
+    if not solve.consistent:
+        # some sample's equations are inconsistent: solve sample by sample,
+        # so that only those samples fail
+        solved = [(inversion.solve_linear(incidence, rhs[:, j:j + 1]), slice(j, j + 1))
+                  for j in range(rhs.shape[1])]
+    # the peel, the solve and the sent submessages (k, i), all in col_keys order
+    peeled = np.stack([peel.values[key] for key in incidence.col_keys])
+    equal = 0
+    for result, cols in solved:
+        if result.values is not None:
+            got = np.stack(list(result.values.values()))
+            same = (peeled[:, cols] == got) & (got == sent[:, cols])
+            equal += int(np.count_nonzero(same.all(axis=0)))
+    return injective, equal
+
 
 def cmd_invert(config: dict, outdir: str) -> str:
     seed = int(config.get("seed", 0))
@@ -455,12 +514,18 @@ def cmd_invert(config: dict, outdir: str) -> str:
         raise InvalidArgumentError(f"l must be >= 1, got {l}")
     if samples < 0:
         raise InvalidArgumentError(f"samples must be >= 0, got {samples}")
+    if not fpcode.is_prime(p):
+        raise InvalidArgumentError(f"{p} is not prime")
     # full column rank K |G_L| over F_p is the injectivity claim
     full_rank = k * alignment.monomial_card(k, l)
     rng = child_rng(seed, 0)
-    injective = 0
-    peel_eq = 0
+    counts = np.zeros(2, dtype=np.int64)  # injective_pass, peel_equals_solve
     rejected = 0
+    # accepted samples are batched: each one's equation values become a
+    # column of the right-hand side, in the row order of the batch's first
+    # system (its reference: eqsys, row order, structure). A sample whose
+    # structure differs starts a new batch
+    ref, rhs, sent = None, [], []
     for s in range(samples):
         H = rng.uniform(0.5, 2.0, size=(k, k))
         try:
@@ -471,26 +536,27 @@ def cmd_invert(config: dict, outdir: str) -> str:
         eqsys = alignment.derive_equation_system(sig)
         w = [child_rng(seed, s, kk).integers(0, p, size=(len(sig.values[kk]), 1))
              for kk in range(k)]
-        u = [t % p for t in alignment.true_equations(w, eqsys)]
-        peel = inversion.peel_invert(eqsys, u)
-        incidence = inversion.build_incidence(eqsys)
-        solve = inversion.solve_linear(incidence, u, eqsys)
-        # a matrix's rank does not depend on the right-hand side, so this
-        # elimination is also the injectivity check
-        if solve.rank == full_rank:
-            injective += 1
-        if solve.values is not None:
-            # full rank: solve.values and the sent submessages (k, i) are both
-            # in col_keys order, so flat arrays check peel == solve == sent
-            peeled = np.concatenate([peel.values[key] for key in incidence.col_keys])
-            solved = np.concatenate(list(solve.values.values()))
-            sent = np.concatenate(w).ravel() % p
-            if np.array_equal(peeled, solved) and np.array_equal(peeled, sent):
-                peel_eq += 1
+        u = np.concatenate(alignment.true_equations(w, eqsys)) % p
+        order, structure = _row_structure(eqsys)
+        if ref is None or not all(map(np.array_equal, structure, ref[2])):
+            if rhs:
+                counts += _invert_batch(ref[0], rhs, sent, full_rank)
+            ref, rhs, sent = (eqsys, order, structure), [], []
+        # the sample's row order[j] is the same equation as the reference's row ref[1][j]
+        column = np.empty_like(u)
+        column[ref[1]] = u[order]
+        rhs.append(column)
+        sent.append(np.concatenate(w))
         # free this sample before the next one is built: it would otherwise
-        # stay resident through the next signature construction (+1.8 MiB
-        # tracemalloc peak at K=3 L=2)
-        del sig, eqsys, w, u, peel, incidence, solve
+        # stay resident through the next signature construction
+        del sig, eqsys, w, u, order, structure, column
+        if (len(rhs) + 1) * len(ref[1]) > INVERT_BATCH_CELLS:
+            # full: solved before the next sample is built, for the same reason
+            counts += _invert_batch(ref[0], rhs, sent, full_rank)
+            ref, rhs, sent = None, [], []
+    if rhs:
+        counts += _invert_batch(ref[0], rhs, sent, full_rank)
+    injective, peel_eq = (int(c) for c in counts)
     header = ["schema_version", "seed", "row_seed", "k", "l", "p", "samples",
               "injective_pass", "peel_equals_solve", "rejected"]
     rows = [[SCHEMA_VERSION, seed, derive_seed(seed, 0), k, l, p, samples,

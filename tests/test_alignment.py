@@ -36,6 +36,20 @@ def one_signature_map(H, values, p):
     )
 
 
+def filtered_g_l(H, L):
+    """G_L read off G_{L+1}, in exponent order: the oracle of ``canonical_signature``'s rows.
+
+    The G_{L+1} monomials with no exponent equal to L, lexsorted by exponent
+    tuple. Square-and-multiply skips zero high bits, so their values are
+    those of a G_L build, bit for bit.
+    """
+    big = dio.build_monomial_set(H, L + 1)
+    small = (big.exponents < L).all(axis=1)
+    exps, vals = big.exponents[small], big.values[small]
+    order = np.lexsort(exps.T[::-1])
+    return exps[order], vals[order]
+
+
 def worstcase_signature(H, L, p):
     """The canonical map at the worst-case B that ``caf align`` sets for ``scaling_mode=worstcase``."""
     sig = al.canonical_signature(H, L, p)
@@ -95,6 +109,23 @@ class TestCanonicalSignature:
             assert exps.dtype == np.int64 and vals.dtype == np.float64
             assert np.array_equal(exps, direct.exponents[order])
             assert np.array_equal(vals.view(np.uint64), direct.values[order].view(np.uint64))
+
+    @pytest.mark.parametrize("k, L", [(1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_submessages_equal_the_filtered_g_l_plus_1(self, k, L):
+        H = np.random.default_rng(70 + 10 * k + L).uniform(0.5, 2.0, size=(k, k))
+        want_exps, want_vals = filtered_g_l(H, L)
+        sig = al.canonical_signature(H, L, 3)
+        for exps, vals in zip(sig.exponents, sig.values):
+            assert exps.dtype == want_exps.dtype and np.array_equal(exps, want_exps)
+            assert np.array_equal(vals.view(np.uint64), want_vals.view(np.uint64))
+
+    def test_one_monomial_set_build_per_signature(self, monkeypatch):
+        # G_{L+1} feeds the genericity check; G_L is not built as a set of its own
+        built = []
+        real = dio.build_monomial_set
+        monkeypatch.setattr(dio, "build_monomial_set", lambda H, L: built.append(L) or real(H, L))
+        al.canonical_signature(H_GENERIC, 2, 5)
+        assert built == [3]
 
 
 class TestExampleSignature:

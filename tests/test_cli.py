@@ -5,13 +5,21 @@ import io
 import json
 import math
 import os
+import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from caf import cli
-from caf.errors import InvalidArgumentError, NumericRangeError, ResourceLimitError
+from caf import alignment, cli, inversion
+from caf.errors import (
+    InvalidArgumentError,
+    NonGenericChannelError,
+    NumericRangeError,
+    ResourceLimitError,
+)
+from caf.seeding import child_rng
 
 
 def no_channel_draw(*args, **kwargs):
@@ -390,6 +398,71 @@ class TestAlign:
         assert (out1 / "align.csv").read_bytes() == (out2 / "align.csv").read_bytes()
 
 
+def loop_invert_counts(k, l, p, samples, seed):
+    """The four counts of ``caf invert`` by the per-sample loop: a peel and an elimination per sample.
+
+    The oracle of the batched command. It draws the same channels and
+    submessages, and reads the same ``cli.alignment`` functions.
+    """
+    full_rank = k * alignment.monomial_card(k, l)
+    rng = child_rng(seed, 0)
+    injective = peel_eq = rejected = 0
+    for s in range(samples):
+        H = rng.uniform(0.5, 2.0, size=(k, k))
+        try:
+            sig = cli.alignment.canonical_signature(H, l, p)
+        except NonGenericChannelError:
+            rejected += 1
+            continue
+        eqsys = cli.alignment.derive_equation_system(sig)
+        w = [child_rng(seed, s, kk).integers(0, p, size=(len(sig.values[kk]), 1))
+             for kk in range(k)]
+        u = [t % p for t in cli.alignment.true_equations(w, eqsys)]
+        peel = inversion.peel_invert(eqsys, u)
+        incidence = inversion.build_incidence(eqsys)
+        solve = inversion.solve_linear(incidence, u, eqsys)
+        if solve.rank == full_rank:
+            injective += 1
+        if solve.values is not None:
+            peeled = np.concatenate([peel.values[key] for key in incidence.col_keys])
+            solved = np.concatenate(list(solve.values.values()))
+            sent = np.concatenate(w).ravel() % p
+            if np.array_equal(peeled, solved) and np.array_equal(peeled, sent):
+                peel_eq += 1
+    return {"samples": samples, "injective_pass": injective,
+            "peel_equals_solve": peel_eq, "rejected": rejected}
+
+
+def invert_counts(tmp_path, k, l, p, samples, seed):
+    out = run(tmp_path, "invert", "--k", str(k), "--l", str(l), "--p", str(p),
+              "--set", f"samples={samples}", "--seed", str(seed))
+    header, row = [l.split(",") for l in (out / "invert.csv").read_text().splitlines()]
+    rec = dict(zip(header, row))
+    return {key: int(rec[key]) for key in
+            ("samples", "injective_pass", "peel_equals_solve", "rejected")}
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that records, per call, the shape of
+    its second argument (None for a list); return the record."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(getattr(args[1], "shape", None))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def rows_of(k, l, p):
+    """Incidence rows of one (K, L) system: the cells of one right-hand-side column."""
+    H = np.random.default_rng(1).uniform(0.5, 2.0, size=(k, k))
+    eqsys = alignment.derive_equation_system(alignment.canonical_signature(H, l, p))
+    return sum(len(v) for v in eqsys.values)
+
+
 class TestInvert:
     def test_small_run_counts(self, tmp_path):
         out = run(tmp_path, "invert", "--k", "2", "--l", "2", "--p", "5",
@@ -443,6 +516,112 @@ class TestInvert:
         with pytest.raises(InvalidArgumentError, match="samples must be >= 0, got -4"):
             cli.main(["invert", "--set", "samples=-4", "--out", str(tmp_path / "o")])
         assert not (tmp_path / "o" / "invert.csv").exists()
+
+    @pytest.mark.parametrize("samples", ["0", "2"])
+    @pytest.mark.parametrize("p", ["4", "1", "0", "-3"])
+    def test_non_prime_p_rejected_up_front(self, tmp_path, monkeypatch, p, samples):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a non-prime p reached the signature construction")
+
+        monkeypatch.setattr(cli.alignment, "canonical_signature", no_work)
+        with pytest.raises(InvalidArgumentError, match=f"^{p} is not prime$"):
+            cli.main(["invert", "--k", "2", "--l", "1", "--p", p, "--set", f"samples={samples}",
+                      "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o" / "invert.csv").exists()
+
+
+class TestInvertBatches:
+    """``caf invert`` solves its accepted samples in batches; every count is the per-sample loop's."""
+
+    @pytest.mark.parametrize("samples", [0, 1, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k, l, p", [(2, 1, 3), (2, 2, 5), (3, 1, 7), (3, 2, 3)])
+    def test_counts_equal_the_loop(self, tmp_path, k, l, p, seed, samples):
+        got = invert_counts(tmp_path, k, l, p, samples, seed)
+        assert got == loop_invert_counts(k, l, p, samples, seed)
+
+    def test_one_peel_and_one_solve_per_batch(self, tmp_path, monkeypatch):
+        peels = count_calls(monkeypatch, cli.inversion, "peel_invert")
+        solves = count_calls(monkeypatch, cli.inversion, "solve_linear")
+        got = invert_counts(tmp_path, 2, 2, 5, 5, 0)
+        assert got["samples"] - got["rejected"] == 5
+        assert (len(peels), len(solves)) == (1, 1)
+        assert solves == [(rows_of(2, 2, 5), 5)]
+        assert got == loop_invert_counts(2, 2, 5, 5, 0)
+
+    def test_a_corrupted_sample_fails_alone(self, tmp_path, monkeypatch):
+        real = cli.alignment.true_equations
+
+        def corrupt_second(calls):
+            def true_equations(w, eqsys):
+                u = real(w, eqsys)
+                calls.append(None)
+                if len(calls) == 2:
+                    u[0][0] += 1  # receiver 0's first equation, off by one
+                return u
+            return true_equations
+
+        monkeypatch.setattr(cli.alignment, "true_equations", corrupt_second([]))
+        solves = count_calls(monkeypatch, cli.inversion, "solve_linear")
+        got = invert_counts(tmp_path, 2, 2, 5, 5, 0)
+        # the batch's solve is inconsistent, so its five samples are solved one by one
+        assert len(solves) == 1 + 5
+        monkeypatch.setattr(cli.alignment, "true_equations", corrupt_second([]))
+        want = loop_invert_counts(2, 2, 5, 5, 0)
+        assert got == want
+        assert want["peel_equals_solve"] == want["injective_pass"] - 1 == 4
+
+    def test_one_column_bound_solves_sample_by_sample(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "INVERT_BATCH_CELLS", rows_of(2, 2, 5))
+        solves = count_calls(monkeypatch, cli.inversion, "solve_linear")
+        peels = count_calls(monkeypatch, cli.inversion, "peel_invert")
+        got = invert_counts(tmp_path, 2, 2, 5, 5, 0)
+        assert len(solves) == len(peels) == got["samples"] - got["rejected"] == 5
+        assert got == loop_invert_counts(2, 2, 5, 5, 0)
+
+    @pytest.mark.parametrize("change", ["row_keys", "nonzeros"])
+    def test_another_structure_starts_a_new_batch(self, tmp_path, monkeypatch, change):
+        real = cli.alignment.derive_equation_system
+
+        def change_second(calls):
+            def derive_equation_system(sig):
+                calls.append(None)
+                if len(calls) != 2:
+                    return real(sig)
+                if change == "row_keys":
+                    # every exponent of gain h[0, 0] rises by one: the same
+                    # incidence under other row keys
+                    shift = np.eye(sig.k * sig.k, dtype=np.int64)[0]
+                    return real(replace(sig, exponents=[e + shift for e in sig.exponents]))
+                # submessages (0, 0) and (0, 1) trade rows: the same row keys
+                # over another incidence
+                eqsys = real(sig)
+                cols = np.where(eqsys.cols < 2, 1 - eqsys.cols, eqsys.cols)
+                nz = np.lexsort((cols, eqsys.rows))
+                return replace(eqsys, rows=eqsys.rows[nz], cols=cols[nz])
+            return derive_equation_system
+
+        monkeypatch.setattr(cli.alignment, "derive_equation_system", change_second([]))
+        solves = count_calls(monkeypatch, cli.inversion, "solve_linear")
+        got = invert_counts(tmp_path, 2, 2, 5, 5, 0)
+        # samples 0 | 1 | 2-4: the second sample differs from both neighbours
+        assert [width for _, width in solves] == [1, 1, 3]
+        monkeypatch.setattr(cli.alignment, "derive_equation_system", change_second([]))
+        assert got == loop_invert_counts(2, 2, 5, 5, 0)
+
+    def test_batches_bound_the_memory(self, tmp_path, monkeypatch):
+        # 30 draws at K=3 L=2 make at least two full batches. One 30-column
+        # solve alone peaks at about 12 MiB, a 100-column one at 35 MiB
+        solves = count_calls(monkeypatch, cli.inversion, "solve_linear")
+        tracemalloc.start()
+        try:
+            cli.cmd_invert({"seed": 0, "k": 3, "l": 2, "p": 3, "samples": 30}, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(solves) >= 3
+        assert max(width for _, width in solves) * rows_of(3, 2, 3) <= cli.INVERT_BATCH_CELLS
+        assert peak < 8 * 2**20
 
 
 class TestDioph:
