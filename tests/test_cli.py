@@ -443,24 +443,16 @@ def invert_counts(tmp_path, k, l, p, samples, seed):
 
 
 def count_calls(monkeypatch, module, name):
-    """Patch ``module.name`` with a wrapper that records, per call, the shape of
-    its second argument (None for a list); return the record."""
+    """Patch ``module.name`` with a wrapper that records each call's arguments; return the record."""
     calls = []
     real = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(getattr(args[1], "shape", None))
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def rows_of(k, l, p):
-    """Incidence rows of one (K, L) system: the cells of one right-hand-side column."""
-    H = np.random.default_rng(1).uniform(0.5, 2.0, size=(k, k))
-    eqsys = alignment.derive_equation_system(alignment.canonical_signature(H, l, p))
-    return sum(len(v) for v in eqsys.values)
 
 
 class TestInvert:
@@ -530,8 +522,23 @@ class TestInvert:
         assert not (tmp_path / "o" / "invert.csv").exists()
 
 
+def first_row(eqsys, u, sent, read):
+    """The first flat equation row whose value off by one changes the peel's result (``read``)
+    or leaves it at ``sent`` (not ``read``); None when no row qualifies."""
+    flat = np.concatenate(u) % eqsys.p
+    ends = np.cumsum([len(v) for v in u])[:-1]
+    keys = list(map(tuple, eqsys.col_keys.tolist()))
+    for r in range(len(flat)):
+        bad = flat.copy()
+        bad[r] += 1
+        peel = inversion.peel_invert(eqsys, np.split(bad, ends))
+        if np.array_equal(np.stack([peel.values[key] for key in keys]), sent) != read:
+            return r
+    return None
+
+
 class TestInvertBatches:
-    """``caf invert`` solves its accepted samples in batches; every count is the per-sample loop's."""
+    """``caf invert`` peels each accepted sample once; every count is the per-sample loop's."""
 
     @pytest.mark.parametrize("samples", [0, 1, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -540,16 +547,19 @@ class TestInvertBatches:
         got = invert_counts(tmp_path, k, l, p, samples, seed)
         assert got == loop_invert_counts(k, l, p, samples, seed)
 
-    def test_one_peel_and_one_solve_per_batch(self, tmp_path, monkeypatch):
+    def test_one_peel_per_sample_and_no_elimination(self, tmp_path, monkeypatch):
         peels = count_calls(monkeypatch, cli.inversion, "peel_invert")
         solves = count_calls(monkeypatch, cli.inversion, "solve_linear")
+        incidences = count_calls(monkeypatch, cli.inversion, "build_incidence")
         got = invert_counts(tmp_path, 2, 2, 5, 5, 0)
         assert got["samples"] - got["rejected"] == 5
-        assert (len(peels), len(solves)) == (1, 1)
-        assert solves == [(rows_of(2, 2, 5), 5)]
+        assert (len(peels), len(solves), len(incidences)) == (5, 0, 0)
         assert got == loop_invert_counts(2, 2, 5, 5, 0)
 
-    def test_a_corrupted_sample_fails_alone(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("read", [True, False], ids=["read", "unread"])
+    def test_a_corrupted_sample_fails_alone(self, tmp_path, monkeypatch, read):
+        # a row the peel never reads leaves its result at the sent values:
+        # only the residual check A sent = u sees that corruption
         real = cli.alignment.true_equations
 
         def corrupt_second(calls):
@@ -557,27 +567,39 @@ class TestInvertBatches:
                 u = real(w, eqsys)
                 calls.append(None)
                 if len(calls) == 2:
-                    u[0][0] += 1  # receiver 0's first equation, off by one
+                    r = first_row(eqsys, u, np.concatenate(w) % eqsys.p, read)
+                    assert r is not None
+                    offsets = np.cumsum([0] + [len(v) for v in u])
+                    m = int(np.searchsorted(offsets, r, side="right")) - 1
+                    u[m][r - offsets[m]] += 1
                 return u
             return true_equations
 
         monkeypatch.setattr(cli.alignment, "true_equations", corrupt_second([]))
-        solves = count_calls(monkeypatch, cli.inversion, "solve_linear")
         got = invert_counts(tmp_path, 2, 2, 5, 5, 0)
-        # the batch's solve is inconsistent, so its five samples are solved one by one
-        assert len(solves) == 1 + 5
         monkeypatch.setattr(cli.alignment, "true_equations", corrupt_second([]))
         want = loop_invert_counts(2, 2, 5, 5, 0)
         assert got == want
         assert want["peel_equals_solve"] == want["injective_pass"] - 1 == 4
 
-    def test_one_column_bound_solves_sample_by_sample(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "INVERT_BATCH_CELLS", rows_of(2, 2, 5))
+    def test_a_peel_stall_falls_back_to_the_elimination(self, tmp_path, monkeypatch):
+        real = cli.inversion.peel_invert
+        calls = []
+
+        def stall_on_the_second(eqsys, u):
+            calls.append(None)
+            if len(calls) == 2:
+                raise inversion.PeelStallError("stalled")
+            return real(eqsys, u)
+
+        monkeypatch.setattr(cli.inversion, "peel_invert", stall_on_the_second)
         solves = count_calls(monkeypatch, cli.inversion, "solve_linear")
-        peels = count_calls(monkeypatch, cli.inversion, "peel_invert")
         got = invert_counts(tmp_path, 2, 2, 5, 5, 0)
-        assert len(solves) == len(peels) == got["samples"] - got["rejected"] == 5
-        assert got == loop_invert_counts(2, 2, 5, 5, 0)
+        assert got["samples"] - got["rejected"] == len(calls) == 5
+        # the stalled sample's rank comes from the elimination; with no peel
+        # to compare, it adds nothing to peel_equals_solve
+        assert len(solves) == 1
+        assert got["peel_equals_solve"] == got["injective_pass"] - 1 == 4
 
     @pytest.mark.parametrize("change", ["row_keys", "nonzeros"])
     def test_another_structure_starts_a_new_batch(self, tmp_path, monkeypatch, change):
@@ -602,26 +624,21 @@ class TestInvertBatches:
             return derive_equation_system
 
         monkeypatch.setattr(cli.alignment, "derive_equation_system", change_second([]))
-        solves = count_calls(monkeypatch, cli.inversion, "solve_linear")
         got = invert_counts(tmp_path, 2, 2, 5, 5, 0)
-        # samples 0 | 1 | 2-4: the second sample differs from both neighbours
-        assert [width for _, width in solves] == [1, 1, 3]
         monkeypatch.setattr(cli.alignment, "derive_equation_system", change_second([]))
         assert got == loop_invert_counts(2, 2, 5, 5, 0)
 
-    def test_batches_bound_the_memory(self, tmp_path, monkeypatch):
-        # 30 draws at K=3 L=2 make at least two full batches. One 30-column
-        # solve alone peaks at about 12 MiB, a 100-column one at 35 MiB
-        solves = count_calls(monkeypatch, cli.inversion, "solve_linear")
+    def test_batches_bound_the_memory(self, tmp_path):
+        # 30 K=3 L=2 samples peak at about 1.9 MiB: one sample at a time,
+        # freed before the next is built (2.7 MiB when it is not). An
+        # elimination of 8 samples at once peaked at about 6.5 MiB
         tracemalloc.start()
         try:
             cli.cmd_invert({"seed": 0, "k": 3, "l": 2, "p": 3, "samples": 30}, str(tmp_path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(solves) >= 3
-        assert max(width for _, width in solves) * rows_of(3, 2, 3) <= cli.INVERT_BATCH_CELLS
-        assert peak < 8 * 2**20
+        assert peak < 3 * 2**20
 
 
 class TestDioph:
