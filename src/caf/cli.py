@@ -395,7 +395,8 @@ def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corru
     # outer decode, one batched call per receiver over all its groups. The
     # code is linear and injective, so a true equation's message is the sum
     # of its contributors' messages mod p.
-    true_msgs = alignment.true_equations([np.stack(tx) for tx in messages], eqsys)
+    stacked = [np.stack(tx) for tx in messages]  # per transmitter (n_k, message_len, trials)
+    true_msgs = alignment.true_equations(stacked, eqsys)
     u_msgs = []
     for m in range(k):
         n_groups = decoded_equations[m].shape[0]
@@ -420,12 +421,10 @@ def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corru
                 message_mismatches += 1
                 continue
             solved.append((result.values, slice(tr, tr + 1)))
+    sent = np.concatenate(stacked)  # (columns, message_len, trials) in col_keys order
     for values, cols in solved:
-        wrong = False  # per trial: some submessage was not recovered
-        for kk, tx in enumerate(messages):
-            for i, sent in enumerate(tx):
-                got = values[(kk, i)].reshape(code.message_len, -1)
-                wrong = wrong | np.any(got != sent[:, cols] % p, axis=0)
+        got = values.reshape(len(sent), code.message_len, -1)
+        wrong = np.any(got != sent[:, :, cols], axis=(0, 1))  # per trial: any wrong submessage
         message_mismatches += int(np.count_nonzero(wrong))
     return {
         "power_mean": power_mean,
@@ -487,12 +486,11 @@ def cmd_invert(config: dict, outdir: str) -> str:
         # a completed peel certifies full column rank, so the elimination's
         # unique solution is the sent one iff A sent = u (mod p)
         injective += 1
-        peeled = np.stack([peel.values[key] for key in map(tuple, eqsys.col_keys.tolist())])
-        if np.array_equal(peeled, sent) and inversion._is_solution(eqsys, sent, u):
+        if np.array_equal(peel.values, sent) and inversion._is_solution(eqsys, sent, u):
             peel_eq += 1
         # free this sample before the next one is built: it would otherwise
         # stay resident through the next signature construction
-        del sig, eqsys, w, u, sent, peel, peeled
+        del sig, eqsys, w, u, sent, peel
     header = ["schema_version", "seed", "row_seed", "k", "l", "p", "samples",
               "injective_pass", "peel_equals_solve", "rejected"]
     rows = [[SCHEMA_VERSION, seed, derive_seed(seed, 0), k, l, p, samples,

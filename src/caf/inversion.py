@@ -12,10 +12,10 @@ independent solvers are provided:
   ``{column: residue}`` map of Python ints, the right-hand side being
   extra columns, and each column of A as the set of rows that hold it.
   Its pivot rule is the dense one (first nonzero at or after ``rank`` in
-  the swapped row order), so its results and their order are those of
-  dense elimination. The canonical incidence has K nonzeros per column,
-  and the cost is those nonzeros plus the fill-in elimination creates
-  (structured sparse elimination);
+  the swapped row order), so its rank, consistency and failing row are
+  those of dense elimination. The canonical incidence has K nonzeros per
+  column, and the cost is those nonzeros plus the fill-in elimination
+  creates (structured sparse elimination);
 * ``peel_invert`` - the constructive peeling procedure. On a generic
   channel a receive monomial identifies its origin uniquely, so some
   equation always has exactly one unresolved contributor (highest powers
@@ -27,7 +27,9 @@ independent solvers are provided:
   tests. A stall (no singleton equation while messages remain) would
   contradict the injectivity guarantee and is reported as such.
 
-Peeling applies to the canonical signature construction only; arbitrary
+Both return the submessages as one (columns, width) int64 array in
+``col_keys`` order; the peel also lists its resolution order. Peeling
+applies to the canonical signature construction only; arbitrary
 signature maps fall back to the linear solver.
 
 A completed peel is itself a certificate of full column rank: its
@@ -69,7 +71,7 @@ class IncidenceSystem:
     cols: np.ndarray  # (nonzeros,) int64
     vals: np.ndarray  # (nonzeros,) int64
     row_keys: list  # (receiver m, receive exponent tuple)
-    col_keys: list  # (transmitter k, submessage index)
+    col_keys: np.ndarray  # (columns, 2) (transmitter k, index); only its length is read
     p: int
 
     @property
@@ -90,15 +92,14 @@ class IncidenceSystem:
 
 def build_incidence(eqsys: EquationSystem) -> IncidenceSystem:
     """Assemble the submessage -> equation map of the equation system, as its nonzeros."""
-    col_keys = list(map(tuple, eqsys.col_keys.tolist()))
     row_keys = [(m, tuple(e)) for m, exps in enumerate(eqsys.exponents) for e in exps.tolist()]
     ones = np.ones(len(eqsys.rows), dtype=np.int64)
-    return IncidenceSystem(eqsys.rows, eqsys.cols, ones, row_keys, col_keys, eqsys.p)
+    return IncidenceSystem(eqsys.rows, eqsys.cols, ones, row_keys, eqsys.col_keys, eqsys.p)
 
 
 @dataclass
 class SolveResult:
-    values: "dict | None"  # (k, i) -> residue array; None when rank-deficient
+    values: "np.ndarray | None"  # (columns, width) int64 in col_keys order; None unless solved
     rank: int
     consistent: bool
     failing_row: "tuple | None" = None
@@ -133,10 +134,11 @@ def solve_linear(sys: IncidenceSystem, u, eqsys: EquationSystem | None = None) -
     dense one: columns are taken in order, and the pivot of column c is the
     row at the first position at or after ``rank`` in the swapped row order
     (``order`` maps position to row, ``pos`` row to position), which then
-    swaps places with the row at ``rank``. Rank, consistency, the failing
+    swaps places with the row at ``rank``. Rank, consistency and the failing
     row (the first zero row of A with a nonzero right-hand side, in swapped
-    order) and the key order of ``values`` are therefore those of dense
-    elimination.
+    order) are therefore those of dense elimination. At full rank the
+    pivots are the columns in order, so ``values`` is (columns, width) in
+    ``col_keys`` order.
 
     A pivot touches its own row's entries and the rows holding its column,
     so work and memory grow with the nonzeros plus the fill-in (entries
@@ -211,8 +213,7 @@ def solve_linear(sys: IncidenceSystem, u, eqsys: EquationSystem | None = None) -
         return SolveResult(None, rank, True, None)
     extra = range(n_cols, n_cols + width)
     solved = np.array([rows[r].get(j, 0) for _, r in pivots for j in extra], dtype=np.int64)
-    values = dict(zip((sys.col_keys[c] for c, _ in pivots), solved.reshape(n_cols, width)))
-    return SolveResult(values, rank, True, None)
+    return SolveResult(solved.reshape(n_cols, width), rank, True, None)
 
 
 def _is_canonical(eqsys: EquationSystem) -> bool:
@@ -226,7 +227,8 @@ def _is_canonical(eqsys: EquationSystem) -> bool:
 
 @dataclass
 class PeelResult:
-    values: dict  # (k, i) -> residue array
+    values: np.ndarray  # (columns, width) int64 residues in col_keys order
+    order: np.ndarray  # (columns,) column indices in resolution order
     rounds: int
     fallback: bool  # solved by the linear oracle (non-canonical signature)
 
@@ -239,11 +241,12 @@ def peel_invert(eqsys: EquationSystem, u) -> PeelResult:
     winning when several hold the same submessage, and the values read are
     subtracted from every equation that holds them. Per row it keeps the
     count and the sum of its unresolved column ids, so a row whose count
-    is 1 names its contributor by that sum. ``values`` is keyed in the
-    order of resolution: by round, then descending highest exponent of the
-    message, then the winning row's receiver, then (transmitter, index).
-    Equations that are never read are never checked. Non-canonical
-    signature maps are delegated to ``solve_linear``.
+    is 1 names its contributor by that sum. ``values`` is (columns, width)
+    in ``col_keys`` order, and ``order`` lists the columns in the order of
+    resolution: by round, then descending highest exponent of the message,
+    then the winning row's receiver, then (transmitter, index). Equations
+    that are never read are never checked. Non-canonical signature maps are
+    delegated to ``solve_linear``; ``order`` is then the columns in order.
     """
     if not _is_canonical(eqsys):
         result = solve_linear(build_incidence(eqsys), u, eqsys)
@@ -251,7 +254,7 @@ def peel_invert(eqsys: EquationSystem, u) -> PeelResult:
             raise InvalidArgumentError(
                 "linear fallback failed: system is rank-deficient or inconsistent"
             )
-        return PeelResult(result.values, 0, True)
+        return PeelResult(result.values, np.arange(len(result.values)), 0, True)
     p = eqsys.p
     residual = _flatten_rhs(u, eqsys) % p
     rows, cols, keys = eqsys.rows, eqsys.cols, eqsys.col_keys
@@ -287,9 +290,7 @@ def peel_invert(eqsys: EquationSystem, u) -> PeelResult:
         col_sum -= np.bincount(r, weights=c, minlength=n_rows)
         touched, start = np.unique(r, return_index=True)
         residual[touched] = (residual[touched] - np.add.reduceat(solved[c], start)) % p
-    order = np.concatenate(sequence)
-    values = dict(zip(map(tuple, keys[order].tolist()), solved[order]))
-    return PeelResult(values, len(sequence), False)
+    return PeelResult(solved, np.concatenate(sequence), len(sequence), False)
 
 
 def _is_solution(eqsys: EquationSystem, x, u) -> bool:

@@ -419,12 +419,13 @@ def _inversion_batch(k: int, l: int, p: int, count: int, stream: int):
         solve = inv.solve_linear(inv.build_incidence(eqsys), u, eqsys)
         if solve.values is None:
             return False, f"linear solve rank-deficient at instance {tried}"
-        for key in solve.values:
-            if not np.array_equal(peel.values[key], solve.values[key]):
+        column = {key: c for c, key in enumerate(map(tuple, eqsys.col_keys.tolist()))}
+        for key, c in column.items():
+            if not np.array_equal(peel.values[c], solve.values[c]):
                 return False, f"peel != solve at instance {tried}, column {key}"
         for kk in range(k):
             for i in range(len(sig.values[kk])):
-                if int(peel.values[(kk, i)][0]) != int(w[kk][i]):
+                if int(peel.values[column[kk, i], 0]) != int(w[kk][i]):
                     return False, f"recovered message wrong at instance {tried}"
         passed += 1
     return True, f"{passed}/{passed} instances injective and peel == solve"

@@ -237,6 +237,34 @@ class TestAlign:
         col = header.index("message_mismatches")
         assert [int(r[col]) for r in rows] == mismatches
 
+    @pytest.mark.parametrize("changes", [
+        [(0, 0, 0)], [(31, 1, 3)], [(5, 1, 0)], [(17, 0, 2)],
+        [(3, 0, 1), (20, 1, 1)],  # two symbols of one trial: one mismatch
+        [(9, 1, 0), (9, 1, 2)],  # one symbol of two trials: two mismatches
+    ], ids=["first", "last", "trial0", "trial2", "one_trial_twice", "two_trials"])
+    def test_mismatches_count_trials(self, tmp_path, monkeypatch, changes):
+        # a noiseless oracle run recovers every trial; each (column, symbol,
+        # trial) entry changed below makes its trial one mismatch
+        real = cli.inversion.peel_invert
+
+        def peel_with_changes(eqsys, u):
+            result = real(eqsys, u)
+            # each column of the result is u's (message_len, trials) flattened
+            values = result.values.reshape(len(result.values), *u[0].shape[1:])
+            assert np.shares_memory(values, result.values) and values.shape[1:] == (2, 4)
+            for c, s, t in changes:
+                values[c, s, t] = (values[c, s, t] + 1) % eqsys.p
+            return result
+
+        monkeypatch.setattr(cli.inversion, "peel_invert", peel_with_changes)
+        out = run(tmp_path, "align", "--p", "5", "--trials", "4", "--set", "geometry=canonical",
+                  "--l", "2", "--set", "scaling_mode=unit", "--set", "demod_strategy=oracle",
+                  "--set", "noise_variance=0", "--set", "t_len=7", "--set", "message_len=2")
+        header, row = [l.split(",") for l in (out / "align.csv").read_text().splitlines()]
+        rec = dict(zip(header, row))
+        assert rec["equation_block_errors"] == "0"
+        assert int(rec["message_mismatches"]) == len({t for _, _, t in changes})
+
     # SHA-256 of align.csv for fixed (config, seed): a faster pipeline must
     # leave these bytes alone
     ALIGN_DIGESTS = [
@@ -401,8 +429,9 @@ class TestAlign:
 def loop_invert_counts(k, l, p, samples, seed):
     """The four counts of ``caf invert`` by the per-sample loop: a peel and an elimination per sample.
 
-    The oracle of the batched command. It draws the same channels and
-    submessages, and reads the same ``cli.alignment`` functions.
+    The oracle of the command, which peels each sample and runs no
+    elimination. It draws the same channels and submessages, and reads the
+    same ``cli.alignment`` functions.
     """
     full_rank = k * alignment.monomial_card(k, l)
     rng = child_rng(seed, 0)
@@ -419,15 +448,13 @@ def loop_invert_counts(k, l, p, samples, seed):
              for kk in range(k)]
         u = [t % p for t in cli.alignment.true_equations(w, eqsys)]
         peel = inversion.peel_invert(eqsys, u)
-        incidence = inversion.build_incidence(eqsys)
-        solve = inversion.solve_linear(incidence, u, eqsys)
+        solve = inversion.solve_linear(inversion.build_incidence(eqsys), u, eqsys)
         if solve.rank == full_rank:
             injective += 1
         if solve.values is not None:
-            peeled = np.concatenate([peel.values[key] for key in incidence.col_keys])
-            solved = np.concatenate(list(solve.values.values()))
-            sent = np.concatenate(w).ravel() % p
-            if np.array_equal(peeled, solved) and np.array_equal(peeled, sent):
+            # both in col_keys order, the sent submessages' order
+            sent = np.concatenate(w) % p
+            if np.array_equal(peel.values, solve.values) and np.array_equal(peel.values, sent):
                 peel_eq += 1
     return {"samples": samples, "injective_pass": injective,
             "peel_equals_solve": peel_eq, "rejected": rejected}
@@ -527,12 +554,11 @@ def first_row(eqsys, u, sent, read):
     or leaves it at ``sent`` (not ``read``); None when no row qualifies."""
     flat = np.concatenate(u) % eqsys.p
     ends = np.cumsum([len(v) for v in u])[:-1]
-    keys = list(map(tuple, eqsys.col_keys.tolist()))
     for r in range(len(flat)):
         bad = flat.copy()
         bad[r] += 1
         peel = inversion.peel_invert(eqsys, np.split(bad, ends))
-        if np.array_equal(np.stack([peel.values[key] for key in keys]), sent) != read:
+        if np.array_equal(peel.values, sent) != read:
             return r
     return None
 
@@ -602,7 +628,7 @@ class TestInvertBatches:
         assert got["peel_equals_solve"] == got["injective_pass"] - 1 == 4
 
     @pytest.mark.parametrize("change", ["row_keys", "nonzeros"])
-    def test_another_structure_starts_a_new_batch(self, tmp_path, monkeypatch, change):
+    def test_another_structure_counts_as_the_loop(self, tmp_path, monkeypatch, change):
         real = cli.alignment.derive_equation_system
 
         def change_second(calls):
@@ -628,7 +654,7 @@ class TestInvertBatches:
         monkeypatch.setattr(cli.alignment, "derive_equation_system", change_second([]))
         assert got == loop_invert_counts(2, 2, 5, 5, 0)
 
-    def test_batches_bound_the_memory(self, tmp_path):
+    def test_per_sample_loop_bounds_the_memory(self, tmp_path):
         # 30 K=3 L=2 samples peak at about 1.9 MiB: one sample at a time,
         # freed before the next is built (2.7 MiB when it is not). An
         # elimination of 8 samples at once peaked at about 6.5 MiB

@@ -25,6 +25,16 @@ def dense_system(M, row_keys, col_keys, p):
     return inv.IncidenceSystem(rows, cols, M[rows, cols], row_keys, col_keys, p)
 
 
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def assert_recovers(values, w):
+    """``values`` is the sent ``w``: (columns, width) int64 in ``col_keys`` order, which lists
+    the submessages by transmitter, then index."""
+    assert_same_array(values, np.concatenate([np.reshape(wk, (len(wk), -1)) for wk in w]))
+
+
 class TestBuildIncidence:
     def test_canonical_k2_l1_shape(self):
         _, eqsys = canonical_system(H_GENERIC, 1, 3)
@@ -70,9 +80,7 @@ class TestSolveLinear:
             u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys)]
             res = inv.solve_linear(sys, u, eqsys)
             assert res.consistent and res.values is not None
-            for kk in range(2):
-                for i in range(16):
-                    assert res.values[(kk, i)][0] == w[kk][i]
+            assert_recovers(res.values, w)
 
     def test_duplicated_column_reports_rank_deficiency(self):
         M = np.array([[1, 1, 0], [1, 1, 1], [0, 0, 1]])
@@ -127,8 +135,10 @@ def full_width_solve(sys, u, eqsys=None):
             return inv.SolveResult(None, rank, False, sys.row_keys[int(perm[r])])
     if rank < cols:
         return inv.SolveResult(None, rank, True, None)
-    values = {sys.col_keys[c]: rhs[r] % p for r, c in enumerate(pivot_cols)}
-    return inv.SolveResult(values, rank, True, None)
+    # keyed by pivot column; at full rank every column is a pivot, and the
+    # result lists the keys in column order
+    values = {c: rhs[r] % p for r, c in enumerate(pivot_cols)}
+    return inv.SolveResult(np.stack([values[c] for c in range(cols)]), rank, True, None)
 
 
 def nonzeros(sys):
@@ -145,9 +155,7 @@ def assert_same_solve(got, want):
     if want.values is None:
         assert got.values is None
     else:
-        assert list(got.values) == list(want.values)
-        for key, value in want.values.items():
-            assert np.array_equal(got.values[key], value)
+        assert_same_array(got.values, want.values)
 
 
 def random_system(rng, rows, cols, p, rank=None, dense=True):
@@ -209,9 +217,7 @@ class TestSolveLinearAgainstFullWidth:
         res = inv.solve_linear(sys, u, eqsys)
         assert_same_solve(res, full_width_solve(sys, u, eqsys))
         assert res.rank == 32
-        for kk in range(2):
-            for i in range(16):
-                assert res.values[(kk, i)][0] == w[kk][i]
+        assert_recovers(res.values, w)
 
     def test_input_matrix_is_not_modified(self):
         rng = np.random.default_rng(11)
@@ -292,8 +298,7 @@ class TestPeel:
         u = [np.asarray(t) % 7 for t in al.true_equations(w, eqsys)]
         res = inv.peel_invert(eqsys, u)
         assert res.rounds == 1 and not res.fallback
-        assert res.values[(0, 0)][0] == w[0][0]
-        assert res.values[(1, 0)][0] == w[1][0]
+        assert_recovers(res.values, w)
 
     def test_k2_l2_matches_linear_oracle(self):
         rng = np.random.default_rng(4)
@@ -311,8 +316,7 @@ class TestPeel:
             solve = inv.solve_linear(inv.build_incidence(eqsys), u, eqsys)
             assert not peel.fallback
             assert solve.values is not None
-            for key in solve.values:
-                assert np.array_equal(peel.values[key], solve.values[key])
+            assert_same_array(peel.values, solve.values)
             assert peel.rounds <= 2 * 4  # L * K^2
 
     def test_k3_l2_matches_linear_oracle(self):
@@ -324,8 +328,7 @@ class TestPeel:
         peel = inv.peel_invert(eqsys, u)
         solve = inv.solve_linear(inv.build_incidence(eqsys), u, eqsys)
         assert solve.values is not None and not peel.fallback
-        for key in solve.values:
-            assert np.array_equal(peel.values[key], solve.values[key])
+        assert_same_array(peel.values, solve.values)
         assert peel.rounds <= 2 * 9
 
     def test_vector_valued_equations(self):
@@ -334,9 +337,7 @@ class TestPeel:
         w = [rng.integers(0, 5, size=(16, 4)) for _ in range(2)]
         u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys)]
         res = inv.peel_invert(eqsys, u)
-        for kk in range(2):
-            for i in range(16):
-                assert np.array_equal(res.values[(kk, i)], w[kk][i])
+        assert_recovers(res.values, w)
 
     def test_example_signature_falls_back_to_solver(self):
         sig = al.example_signature(H_EXAMPLE, p=5)
@@ -346,9 +347,8 @@ class TestPeel:
         u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys)]
         res = inv.peel_invert(eqsys, u)
         assert res.fallback
-        for kk in range(2):
-            for i in range(2):
-                assert res.values[(kk, i)][0] == w[kk][i]
+        assert_same_array(res.order, np.arange(4))
+        assert_recovers(res.values, w)
 
     def test_partial_canonical_signature_falls_back_to_solver(self):
         # canonical gains, but each transmitter sends only 8 of the 16 rows of G_2
@@ -360,8 +360,8 @@ class TestPeel:
         u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys)]
         res = inv.peel_invert(eqsys, u)
         assert res.fallback
-        for kk in range(2):
-            assert [int(res.values[(kk, i)][0]) for i in range(8)] == w[kk].tolist()
+        assert_same_array(res.order, np.arange(16))
+        assert_recovers(res.values, w)
 
     def test_stall_is_reported(self):
         sig, eqsys = canonical_system(H_GENERIC, 1, 3)
@@ -420,15 +420,17 @@ def loop_peel(eqsys, u):
                 if pair in unresolved[rr]:
                     unresolved[rr].discard(pair)
                     residual[rr] = (residual[rr] - val) % p
-    return inv.PeelResult(values, rounds, False)
+    # the keys mapped through col_keys: the values in column order, the
+    # key order as column indices
+    column = {key: c for c, key in enumerate(map(tuple, eqsys.col_keys.tolist()))}
+    order = np.array([column[pair] for pair in values], dtype=np.int64)
+    return inv.PeelResult(np.stack([values[pair] for pair in column]), order, rounds, False)
 
 
 def assert_same_peel(got, want):
     assert (got.rounds, got.fallback) == (want.rounds, want.fallback)
-    assert list(got.values) == list(want.values)
-    for key, value in want.values.items():
-        assert got.values[key].dtype == value.dtype
-        assert np.array_equal(got.values[key], value)
+    assert_same_array(got.order, want.order)
+    assert_same_array(got.values, want.values)
 
 
 class TestPeelAgainstLoop:
@@ -505,8 +507,7 @@ class TestPeelDepth:
         peel = inv.peel_invert(eqsys, u)
         solve = inv.solve_linear(inv.build_incidence(eqsys), u, eqsys)
         assert solve.values is not None and not peel.fallback
-        for key in solve.values:
-            assert np.array_equal(peel.values[key], solve.values[key])
+        assert_same_array(peel.values, solve.values)
         assert peel.rounds <= 3 * 4
 
     def test_k3_l1_single_round(self):
@@ -517,5 +518,4 @@ class TestPeelDepth:
         u = [np.asarray(t) % 5 for t in al.true_equations(w, eqsys)]
         res = inv.peel_invert(eqsys, u)
         assert res.rounds == 1
-        for kk in range(3):
-            assert res.values[(kk, 0)][0] == w[kk][0]
+        assert_recovers(res.values, w)

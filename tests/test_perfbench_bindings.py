@@ -94,6 +94,10 @@ def test_inversion_hooks_run_on_a_real_incidence(tracer):
         peel = inversion.peel_invert(eqsys, u)
     assert tracer.leftover_wrappers() == []
     assert solve.rank == 32 and not peel.fallback
+    # both results are one (columns, width) int64 array in col_keys order
+    for values in (peel.values, solve.values):
+        assert values.dtype == np.int64 and values.shape == (32, 1)
+    assert np.array_equal(peel.values, solve.values)
     assert [span[0] for span in t.spans] == ["inversion.incidence", "inversion.solve",
                                              "inversion.peel"]
     # the solve hook sizes the dense view, which it builds to read its shape
