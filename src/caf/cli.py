@@ -32,7 +32,7 @@ from .svgplot import svg_line_chart
 SCHEMA_VERSION = 1
 
 EXPERIMENT_KEYS = {
-    "fig2": {"seed", "h2_points", "snr_db", "workers"},
+    "fig2": {"seed", "h2_points", "snr_db"},
     "dof": {"seed", "snr_db", "k", "n_rational", "n_real", "rational_entry_max"},
     "align": {"seed", "p", "t_len", "trials", "noise_variance", "c5",
               "demod_strategy", "message_len", "code_distance",
@@ -147,36 +147,19 @@ def _as_list(value):
 # ---------------------------------------------------------------- fig2
 
 
-def _fig2_point(task):
-    i, j, h2, db = task
-    try:
-        r = rates.normalized_rate_sweep([h2], [db])[0]
-        return (i, j, r.coefficients[0], r.coefficients[1], r.normalized_rate)
-    except Exception as exc:  # partial results flushed with a marker
-        return (i, j, 0, 0, f"error:{type(exc).__name__}")
-
-
 def cmd_fig2(config: dict, outdir: str) -> str:
     seed = int(config.get("seed", 0))
     points = int(config.get("h2_points", 1000))
     snrs = [float(s) for s in _as_list(config.get("snr_db", [20, 30, 40, 50]))]
-    workers = int(config.get("workers", 0))
     grid = np.linspace(0.0, 1.0, points)
-    tasks = [(i, j, float(h2), db) for i, h2 in enumerate(grid) for j, db in enumerate(snrs)]
-    if workers > 1:
-        # grid points are independent; map preserves task order, so the
-        # CSV bytes match the serial run exactly
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fig2_point, tasks, chunksize=64))
-    else:
-        results = [_fig2_point(t) for t in tasks]
+    results, _ = rates._sweep_results(grid, snrs)
     header = ["schema_version", "seed", "row_seed", "h2", "snr_db", "a1", "a2", "normalized_rate"]
     rows = []
-    for (i, j, a1, a2, value), task in zip(results, tasks):
-        rows.append([SCHEMA_VERSION, seed, derive_seed(seed, i, j),
-                     task[2], task[3], a1, a2, value])
+    for n, r in enumerate(results):
+        i, j = divmod(n, len(snrs))
+        cells = ((0, 0, f"error:{type(r).__name__}") if isinstance(r, Exception)
+                 else (*r.coefficients, r.normalized_rate))
+        rows.append([SCHEMA_VERSION, seed, derive_seed(seed, i, j), float(grid[i]), snrs[j], *cells])
     text = write_csv(os.path.join(outdir, "fig2.csv"), header, rows)
     header_row, data = read_csv_text(text)
     series = []

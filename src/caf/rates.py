@@ -23,7 +23,9 @@ output is vectorised and shared with the oracle: ``_loss_values`` over the
 pooled candidates and the ``np.lexsort`` ranking on them. The basis and the
 radius only decide which vectors enter the pool, and every vector that can rank
 in the top n does, whatever their float error (``_RADIUS_SLACK``), so the
-output bytes do not depend on how the basis was reduced.
+output bytes do not depend on how the basis was reduced. The K=2 sweep of ``caf fig2``
+finds every point's best equation in one array pass instead (``_k2_winners``, exact
+Gauss reduction); a point whose winner it cannot certify takes the scalar search.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ def _check_vec(h, a, power) -> tuple[np.ndarray, np.ndarray]:
 
 def _loss(h: np.ndarray, power, a: np.ndarray) -> float:
     """``loss_term`` on inputs that ``_check_vec`` has already validated."""
+    # float ** 2 is libm pow, while _loss_values squares with *: the two differ in
+    # the last bit for some h.a, and each output keeps its own (fig2 and dof bytes)
     n2 = float(a @ a)
     gap = float(h @ h) * n2 - float(h @ a) ** 2
     return n2 + float(power) * gap
@@ -531,10 +535,86 @@ class SweepRow:
     normalized_rate: float
 
 
+# z of the pooled z1 b1 + z2 b2, one of each +-pair: on a Gauss-reduced basis (2 |B(b1, b2)|
+# <= q(b1) <= q(b2)), q >= (z1^2 - |z1 z2| + z2^2) q(b1), so every other vector has q >= 4 q(b1)
+_GAUSS_POOL = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (1, 2), (1, -2))
+# largest slack - 1 at which _k2_winners certifies a point: P ||h||^2 <~ 2e9 (93 dB)
+_BATCH_SLACK = 2.0**-10
+
+
+def _k2_winners(h2: np.ndarray, power: np.ndarray):
+    """``best_coefficient_vector((1, h2), P)``, its normalized rate, and where it is certified.
+
+    Gauss-reduces the loss forms in the Lagrange arrangement ||b||^2 + P (b_2 - h2 b_1)^2,
+    ranks ``_GAUSS_POOL`` with the key and arithmetic of ``_ranked_candidates`` and scores
+    the winner with those of ``_rate``. Certified: slack - 1 <= ``_BATCH_SLACK``, the
+    reduction converged, and loss * slack^2 < 3 q(b1), so all else ranks after the winner.
+    """
+    n = h2.size
+    H = np.stack([np.ones(n), h2], axis=1)
+    hn2 = (H[:, None, :] @ H[:, :, None])[:, 0, 0]  # the 1-D h @ h
+    slack = 1.0 + _RADIUS_SLACK * 2 * math.ulp(1.0) * (1.0 + power * hn2)
+    b1, b2, q1 = np.tile([1.0, 0.0], (n, 1)), np.tile([0.0, 1.0], (n, 1)), np.zeros(n)
+    certified = slack - 1.0 <= _BATCH_SLACK
+    todo = np.flatnonzero(certified)
+    for _ in range(64):
+        if not todo.size:
+            break
+        u, v, x, p = b1[todo], b2[todo], h2[todo], power[todo]
+        cu, cv = u[:, 1] - x * u[:, 0], v[:, 1] - x * v[:, 0]
+        quu, qvv = (u * u).sum(1) + p * cu * cu, (v * v).sum(1) + p * cv * cv
+        swap = (qvv < quu)[:, None]
+        q1[todo] = np.minimum(quu, qvv)
+        m = np.rint(((u * v).sum(1) + p * cu * cv) / q1[todo])
+        u, v = np.where(swap, v, u), np.where(swap, u, v)
+        b1[todo], b2[todo] = u, v - m[:, None] * u
+        todo = todo[m != 0]
+    certified[todo] = False
+    z = np.array(_GAUSS_POOL, dtype=float)
+    A = z[:, :1] * b1[:, None, :] + z[:, 1:] * b2[:, None, :]
+    A *= np.sign(np.where(A[..., 0] != 0, A[..., 0], A[..., 1]))[..., None]  # sign-canonical
+    n2, dot = (A * A).sum(2), (A @ H[:, :, None])[..., 0]
+    key = np.where(n2 <= np.ceil(hn2 * power)[:, None],
+                   n2 + power[:, None] * (hn2[:, None] * n2 - dot * dot), np.inf)
+    rows, w = np.arange(n), np.lexsort((A[..., 1], A[..., 0], n2, key))[:, 0]
+    a, certified = A[rows, w], certified & (key[rows, w] < 3.0 * q1 / slack / slack)
+    d, an2 = (H[:, None, :] @ a[:, :, None])[:, 0, 0], (a * a).sum(1)  # the 1-D h @ a
+    loss = an2 + power * (hn2 * an2 - np.array([x ** 2 for x in d.tolist()]))
+    rate = 0.5 * np.log2(1.0 + power * hn2) - 0.5 * np.log2(loss)
+    cap = 0.5 * np.log2(1.0 + (1.0 + h2 * h2) * power)
+    return a.astype(int), np.where(rate > 0.0, rate, 0.0) / cap, certified
+
+
+def _sweep_results(h2_grid, snr_db_list):
+    """Each point's SweepRow or exception, in row order, and the mask of scalar-search points."""
+    h2s, dbs = [float(x) for x in h2_grid], [float(db) for db in snr_db_list]
+    powers = [float(db_to_linear(db)) if db > 0 else math.nan for db in dbs]
+    h2, power = np.repeat(h2s, len(dbs)), np.tile(powers, len(h2s))
+    batch = np.isfinite(h2) & np.isfinite(power)
+    coeffs, values, fallback = np.zeros((h2.size, 2), dtype=int), np.zeros(h2.size), ~batch
+    coeffs[batch], values[batch], certified = _k2_winners(h2[batch], power[batch])
+    fallback[batch] = ~certified
+    results = []
+    for (x, db), p, a, value, scalar in zip(itertools.product(h2s, dbs), power.tolist(),
+                                            coeffs.tolist(), values.tolist(), fallback.tolist()):
+        try:
+            if scalar:
+                if db <= 0:
+                    raise InvalidArgumentError("SNRs must be positive in dB")
+                a, rate = best_coefficient_vector(np.array([1.0, x]), p)
+                value = float(rate / (0.5 * np.log2(1.0 + (1.0 + x * x) * p)))
+            results.append(SweepRow(x, db, tuple(int(c) for c in a), value))
+        except Exception as exc:  # per point: cmd_fig2 writes it as a marker
+            results.append(exc)
+    return results, fallback
+
+
 def normalized_rate_sweep(h2_grid, snr_db_list) -> list[SweepRow]:
     """Best-equation rate for h = (1, h2), normalized by 1/2 log2(1 + (1+h2^2) P).
 
-    Row order follows the (h2, snr) grid deterministically.
+    Row order follows the (h2, snr) grid deterministically. One array pass (``_k2_winners``)
+    certifies the points with P ||h||^2 up to about 2e9, the others take the scalar search;
+    rows equal the scalar search's bit for bit. Raises the first failing point's error.
     """
     h2_grid = list(h2_grid)
     snr_db_list = list(snr_db_list)
@@ -542,14 +622,10 @@ def normalized_rate_sweep(h2_grid, snr_db_list) -> list[SweepRow]:
         raise InvalidArgumentError("sweep grids must be nonempty")
     if any(db <= 0 for db in snr_db_list):
         raise InvalidArgumentError("SNRs must be positive in dB")
-    rows = []
-    for h2 in h2_grid:
-        h = np.array([1.0, float(h2)])
-        for db in snr_db_list:
-            power = float(db_to_linear(db))
-            a, rate = best_coefficient_vector(h, power)
-            cap = 0.5 * np.log2(1.0 + (1.0 + h2 * h2) * power)
-            rows.append(SweepRow(float(h2), float(db), tuple(int(x) for x in a), float(rate / cap)))
+    rows, _ = _sweep_results(h2_grid, snr_db_list)
+    failed = next((r for r in rows if isinstance(r, Exception)), None)
+    if failed is not None:
+        raise failed
     return rows
 
 

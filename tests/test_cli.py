@@ -107,6 +107,18 @@ class TestFig2:
         assert svg.tag.endswith("svg")
         assert (out1 / "run.json").read_bytes() == (out2 / "run.json").read_bytes()
 
+    def test_error_markers_pinned_bytes(self, tmp_path):
+        # -5 dB fails the SNR check and 130 dB is past double precision: each
+        # failing point is written as an error marker, the others as values
+        out = run(tmp_path, "fig2", "--snr-db", "-5", "20", "130", "--set", "h2_points=3",
+                  "--seed", "0")
+        text = (out / "fig2.csv").read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "db99ab74b275b72336a2a9371c588ec3073d96b4c715406af0f8f2ec2e114ee9")
+        values = [line.split(",")[4:] for line in text.splitlines()[1:]]
+        assert [v[3] for v in values if v[0] == "-5"] == ["error:InvalidArgumentError"] * 3
+        assert [v[3] for v in values if v[0] == "130"] == ["error:NumericRangeError"] * 3
+
     def test_endpoint_value(self, tmp_path):
         out = run(tmp_path, "fig2", "--set", "h2_points=3", "--snr-db", "20")
         lines = (out / "fig2.csv").read_text().splitlines()[1:]
@@ -688,11 +700,11 @@ class TestDioph:
 
 
 class TestWorkers:
-    def test_parallel_fig2_identical_bytes(self, tmp_path):
-        base = ["fig2", "--set", "h2_points=9", "--snr-db", "20", "30"]
-        serial = run(tmp_path / "s", *base)
-        parallel = run(tmp_path / "p", *base, "--set", "workers=2")
-        assert (serial / "fig2.csv").read_bytes() == (parallel / "fig2.csv").read_bytes()
+    def test_workers_key_rejected(self, tmp_path):
+        # fig2 runs in one array pass, without a process pool
+        with pytest.raises(InvalidArgumentError, match="unknown config keys for fig2: workers"):
+            cli.main(["fig2", "--set", "h2_points=9", "--snr-db", "20", "30",
+                      "--set", "workers=2", "--out", str(tmp_path / "o")])
 
 
 class TestRunConfig:

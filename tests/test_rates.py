@@ -522,6 +522,34 @@ class TestSweepAndSlope:
                 assert rate >= prev - 1e-9
                 prev = rate
 
+    @pytest.mark.parametrize("h2, db, coefficients", [
+        # the score squares h.a with **, as _loss does: d * d is off in the last bit here
+        (0.9270791327874011, 1.0, None), (0.9270791327874011, 3.0, None),
+        # past the batch's precision: the scalar search finds (1000, 537)
+        (0.537, 120.0, (1000, 537)),
+    ])
+    def test_sweep_pitfalls_match_the_scalar_search(self, h2, db, coefficients):
+        row = rates.normalized_rate_sweep([h2], [db])[0]
+        power = float(rates.db_to_linear(db))
+        a, rate = rates.best_coefficient_vector([1.0, h2], power)
+        cap = 0.5 * np.log2(1.0 + (1.0 + h2 * h2) * power)
+        assert row.coefficients == tuple(int(x) for x in a)
+        assert row.normalized_rate == float(rate / cap)
+        if coefficients is not None:
+            assert row.coefficients == coefficients
+
+    @pytest.mark.parametrize("db, error", [(130.0, NumericRangeError), (-5.0, InvalidArgumentError)])
+    def test_sweep_raises_the_point_error(self, db, error):
+        with pytest.raises(error):
+            rates.normalized_rate_sweep([0.5], [db])
+
+    @pytest.mark.parametrize("snrs", [[20.0, 40.0, 60.0, 80.0], [20.0, 30.0, 40.0, 50.0]])
+    def test_fig2_grids_take_the_batch(self, snrs):
+        # the fig2_k2 benchmark grid and the default caf fig2 grid: no point falls back
+        # to the scalar search, which gives the same bytes about 9x slower
+        _, fallback = rates._sweep_results(np.linspace(0.0, 1.0, 1000), snrs)
+        assert fallback.size == 4000 and not fallback.any()
+
     def test_dof_slope_exact_line(self):
         dbs = np.arange(10.0, 60.0, 5.0)
         powers = rates.db_to_linear(dbs)
