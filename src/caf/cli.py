@@ -147,7 +147,7 @@ def _as_list(value):
 # ---------------------------------------------------------------- fig2
 
 
-def cmd_fig2(config: dict, outdir: str) -> str:
+def cmd_fig2(config: dict, outdir: str) -> list:
     seed = int(config.get("seed", 0))
     points = int(config.get("h2_points", 1000))
     snrs = [float(s) for s in _as_list(config.get("snr_db", [20, 30, 40, 50]))]
@@ -170,7 +170,7 @@ def cmd_fig2(config: dict, outdir: str) -> str:
     with open(os.path.join(outdir, "fig2.svg"), "w", encoding="utf-8") as fh:
         fh.write(svg_line_chart(series, "normalized best-equation rate, h = (1, h2)",
                                 "h2", "normalized rate"))
-    return text
+    return ["fig2.csv", "fig2.svg"]
 
 
 # ----------------------------------------------------------------- dof
@@ -196,22 +196,28 @@ def _dof_channels(config: dict, seed: int):
     return channels
 
 
-def cmd_dof(config: dict, outdir: str) -> str:
+def cmd_dof(config: dict, outdir: str) -> list:
     seed = int(config.get("seed", 0))
     db_grid = [float(x) for x in _as_list(config.get("snr_db", list(np.arange(40.0, 81.0, 5.0))))]
     channels = _dof_channels(config, seed)
+    if channels:  # the slopes' checks on the grid, before any search
+        rates._check_slope_grid(np.asarray(db_grid), len(db_grid))
+    powers = [float(rates.db_to_linear(db)) for db in db_grid]
     header = ["schema_version", "seed", "row_seed", "h_id", "h_kind", "curve",
               "record", "snr_db", "value", "h_entries"]
     rows = []
     for h_id, kind, H in channels:
         entries = ";".join(_fmt(float(x)) for x in H.ravel())
         curves = {"lattice": [], "time_sharing": [], "ia": [], "mimo": []}
-        for db in db_grid:
-            power = float(rates.db_to_linear(db))
-            curves["lattice"].append(rates.lattice_sum_rate(H, power).rate_bits)
+        results, _ = rates._sum_rates(H, powers)
+        for power, result in zip(powers, results):
+            if isinstance(result, Exception):  # the first point that fails, as point by point
+                raise result
+            curves["lattice"].append(result.rate_bits)
             curves["time_sharing"].append(rates.time_sharing_rate(H, power))
             curves["ia"].append(rates.ia_baseline(H.shape[0], power))
-            curves["mimo"].append(rates.mimo_upper_bound(H, power))
+        # every power has passed time_sharing_rate's check, which is mimo's
+        curves["mimo"] = rates._mimo_bounds(H, powers)
         for curve, values in curves.items():
             for db, v in zip(db_grid, values):
                 rows.append([SCHEMA_VERSION, seed, derive_seed(seed, len(rows)),
@@ -219,7 +225,8 @@ def cmd_dof(config: dict, outdir: str) -> str:
             slope = rates.dof_slope(values, db_grid)
             rows.append([SCHEMA_VERSION, seed, derive_seed(seed, len(rows)),
                          h_id, kind, curve, "slope", "", slope, entries])
-    return write_csv(os.path.join(outdir, "dof.csv"), header, rows)
+    write_csv(os.path.join(outdir, "dof.csv"), header, rows)
+    return ["dof.csv"]
 
 
 # ---------------------------------------------------------------- align
@@ -245,7 +252,7 @@ def _align_channel(config: dict, seed: int, geometry: str, l: int, p: int):
     raise NonGenericChannelError("no generic channel found in 64 draws")
 
 
-def cmd_align(config: dict, outdir: str) -> str:
+def cmd_align(config: dict, outdir: str) -> list:
     seed = int(config.get("seed", 0))
     p_list = [int(p) for p in _as_list(config.get("p", [5]))]
     t_len = int(config.get("t_len", 15))
@@ -303,7 +310,7 @@ def cmd_align(config: dict, outdir: str) -> str:
               "log2_scaling", "power_mean", "demod_symbol_errors",
               "demod_symbols", "equation_block_errors", "message_mismatches",
               "blocks", "achievable_rate_eps0"]
-    rows = []
+    rows, written = [], ["align.csv"]
     for pi, p in enumerate(p_list):
         # a copy per prime: each sets its own scaling
         sig = replace(accepted, p=p)
@@ -317,6 +324,7 @@ def cmd_align(config: dict, outdir: str) -> str:
         t_len = code.t
         with open(os.path.join(outdir, f"code_p{p}.txt"), "w", encoding="utf-8") as fh:
             fh.write(code.to_text())
+        written.append(f"code_p{p}.txt")
         stats = _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy,
                                      corrupt, derive_seed(seed, pi, 1))
         l_eff = sig.l if sig.l is not None else 1
@@ -330,7 +338,8 @@ def cmd_align(config: dict, outdir: str) -> str:
                      stats["power_mean"], stats["demod_symbol_errors"],
                      stats["demod_symbols"], stats["equation_block_errors"],
                      stats["message_mismatches"], stats["blocks"], rate0])
-    return write_csv(os.path.join(outdir, "align.csv"), header, rows)
+    write_csv(os.path.join(outdir, "align.csv"), header, rows)
+    return written
 
 
 def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corrupt, seed):
@@ -422,7 +431,7 @@ def _run_alignment_block(sig, eqsys, code, H, trials, noise_var, strategy, corru
 # --------------------------------------------------------------- invert
 
 
-def cmd_invert(config: dict, outdir: str) -> str:
+def cmd_invert(config: dict, outdir: str) -> list:
     seed = int(config.get("seed", 0))
     k = int(config.get("k", 2))
     l = int(config.get("l", 2))
@@ -478,13 +487,14 @@ def cmd_invert(config: dict, outdir: str) -> str:
               "injective_pass", "peel_equals_solve", "rejected"]
     rows = [[SCHEMA_VERSION, seed, derive_seed(seed, 0), k, l, p, samples,
              injective, peel_eq, rejected]]
-    return write_csv(os.path.join(outdir, "invert.csv"), header, rows)
+    write_csv(os.path.join(outdir, "invert.csv"), header, rows)
+    return ["invert.csv"]
 
 
 # ---------------------------------------------------------------- dioph
 
 
-def cmd_dioph(config: dict, outdir: str) -> str:
+def cmd_dioph(config: dict, outdir: str) -> list:
     seed = int(config.get("seed", 0))
     q_max = int(config.get("q_max", 10**4))
     p_list = [int(p) for p in _as_list(config.get("p", [2, 3, 5]))]
@@ -512,7 +522,8 @@ def cmd_dioph(config: dict, outdir: str) -> str:
         rows.append([SCHEMA_VERSION, seed, derive_seed(seed, len(rows)),
                      "separation_ratio", f"K{k}L{l}", row.p,
                      row.ratio_to_sqrt_p, "ok" if row.generic else "non-generic"])
-    return write_csv(os.path.join(outdir, "dioph.csv"), header, rows)
+    write_csv(os.path.join(outdir, "dioph.csv"), header, rows)
+    return ["dioph.csv"]
 
 
 # ----------------------------------------------------------------- main
@@ -559,8 +570,8 @@ def main(argv=None) -> int:
     config.setdefault("seed", 0)
     RunConfig(args.experiment, config).validate()
     os.makedirs(args.out, exist_ok=True)
-    COMMANDS[args.experiment](config, args.out)
-    outputs = sorted(os.listdir(args.out))
+    # the files this command wrote, not whatever else the directory holds
+    outputs = set(COMMANDS[args.experiment](config, args.out))
     _write_run_json(args.out, args.experiment, config, outputs)
     print(f"wrote {args.experiment} outputs to {args.out}")
     return 0

@@ -20,12 +20,16 @@ One search works on a K-vector, so its per-call work (input checks, the LLL
 basis and its LDL^T, the seed radius, the enumeration) runs on Python floats
 and ints: at K <= 4 a numpy call costs more than its arithmetic. What sets the
 output is vectorised and shared with the oracle: ``_loss_values`` over the
-pooled candidates and the ``np.lexsort`` ranking on them. The basis and the
+pooled candidates and the ``np.lexsort`` ranking on them (``_rank``). The basis and the
 radius only decide which vectors enter the pool, and every vector that can rank
 in the top n does, whatever their float error (``_RADIUS_SLACK``), so the
-output bytes do not depend on how the basis was reduced. The K=2 sweep of ``caf fig2``
-finds every point's best equation in one array pass instead (``_k2_winners``, exact
-Gauss reduction); a point whose winner it cannot certify takes the scalar search.
+output bytes do not depend on how the basis was reduced. Two commands batch their
+searches on that ground. The K=2 sweep of ``caf fig2`` finds every point's best
+equation in one array pass (``_k2_winners``, exact Gauss reduction); a point whose
+winner it cannot certify takes the scalar search. ``caf dof`` runs a channel's whole
+SNR grid at once (``_sum_rates``): each search keeps its checks and LLL basis, but
+its pool is a Fincke-Pohst box, and the walk takes only boxes past ``_BOX_CAP``;
+the scores, the combinations and the MIMO water-filling are array passes too.
 """
 
 from __future__ import annotations
@@ -218,6 +222,20 @@ def _lll(h: np.ndarray, power: float, hn2: float) -> tuple[list, list, list]:
             i = max(i - 1, 1)
 
 
+def _form(h: np.ndarray, power: float):
+    """``(||h||^2, ball bound, radius slack, _lll(...))`` of one search, checked in that order."""
+    hn2, bound = float(h @ h), _search_bound(h, power)
+    slack = 1.0 + _RADIUS_SLACK * h.size * math.ulp(1.0) * (1.0 + power * hn2)
+    if not slack < 2.0:
+        raise NumericRangeError(f"P ||h||^2 = {power * hn2:.3g} is past double precision")
+    return hn2, bound, slack, _lll(h, power, hn2)
+
+
+def _seed_width(k: int, n: int) -> int:
+    """Half-width of the seed box: the smallest whose half holds n seeds."""
+    return next(w for w in itertools.count(1) if (2 * w + 1) ** k // 2 >= n)
+
+
 def _enumerate(h: np.ndarray, power: float, n: int, budget: int) -> np.ndarray:
     """Sign-canonical in-ball vectors, among them all that can rank in the top n.
 
@@ -233,13 +251,10 @@ def _enumerate(h: np.ndarray, power: float, n: int, budget: int) -> np.ndarray:
     vector that can rank in the top n, whichever basis and radius led to it,
     and ``_ranked_candidates`` ranks it with the vectorised ``_loss_values``.
     """
-    k, hn2, bound = h.size, float(h @ h), _search_bound(h, power)
-    slack = 1.0 + _RADIUS_SLACK * k * math.ulp(1.0) * (1.0 + power * hn2)
-    if not slack < 2.0:
-        raise NumericRangeError(f"P ||h||^2 = {power * hn2:.3g} is past double precision")
-    basis, mu, r = _lll(h, power, hn2)
+    k = h.size
+    hn2, bound, slack, (basis, mu, r) = _form(h, power)
     hs = h.tolist()
-    w = next(w for w in itertools.count(1) if (2 * w + 1) ** k // 2 >= n)
+    w = _seed_width(k, n)
     # the box points after its centre in product order: first nonzero z_i positive
     box = itertools.product(range(-w, w + 1), repeat=k)
     seeds = []
@@ -297,6 +312,11 @@ def _ranked_candidates(h, power, mode, budget, n) -> np.ndarray:
         A = _enumerate_ball(h, power, budget)
     else:
         raise InvalidArgumentError(f"unknown search mode {mode!r}")
+    return _rank(h, power, A)
+
+
+def _rank(h: np.ndarray, power: float, A: np.ndarray) -> np.ndarray:
+    """The float pool A as ints, ranked by loss, then ||a||^2, then lexicographic order."""
     loss = _loss_values(h, power, A)
     n2 = np.einsum("ij,ij->i", A, A)
     order = np.lexsort(tuple(A.T[::-1]) + (n2, loss))
@@ -372,35 +392,35 @@ def _rank_exact(A: np.ndarray) -> int:
     return rank
 
 
-def _det_int(A) -> np.ndarray:
-    """Exact determinants of a stack ``(..., K, K)`` of integer matrices.
+def _det_int(rows) -> np.ndarray:
+    """Exact determinants of the integer K x K matrices whose m-th row is ``rows[m]``.
 
-    Laplace expansion along the first row in int64. Every partial sum is
-    bounded by K! max|a|^K, so NumericRangeError is raised up front when
-    that bound leaves int64; a wrapped value is never returned.
+    ``rows`` holds K arrays of shape (..., K) that broadcast against one another: a
+    stack of matrices is passed as its rows, and K candidate sets, each along its own
+    axis, give the determinant of every combination. Laplace expansion along the first
+    row in int64, multilinear in the rows. Every partial sum is bounded by K! max|a|^K,
+    so NumericRangeError is raised up front when that bound leaves int64; a wrapped
+    value is never returned.
     """
-    from math import factorial
-
-    A = np.asarray(A)
-    k = A.shape[-1]
-    amax = max(int(A.max()), -int(A.min()))  # Python ints: np.abs wraps int64 min
-    if factorial(k) * amax**k > np.iinfo(np.int64).max:
+    rows = [np.asarray(x) for x in rows]
+    k = len(rows)
+    amax = max(max(int(x.max()), -int(x.min())) for x in rows)  # Python ints: np.abs wraps int64 min
+    if math.factorial(k) * amax**k > np.iinfo(np.int64).max:
         raise NumericRangeError(
             f"K={k} determinant with entries up to {amax} may leave int64"
         )
-    return _laplace(A.astype(np.int64))
+    rows = [x.astype(np.int64) for x in rows]
 
+    def minor(m, cols):  # the determinant of rows m.. on the columns cols
+        if m == k - 1:
+            return rows[m][..., cols[0]]
+        total = 0
+        for j, col in enumerate(cols):
+            term = rows[m][..., col] * minor(m + 1, cols[:j] + cols[j + 1:])
+            total = total - term if j % 2 else total + term
+        return total
 
-def _laplace(A: np.ndarray) -> np.ndarray:
-    k = A.shape[-1]
-    if k == 1:
-        return A[..., 0, 0]
-    rest = A[..., 1:, :]
-    total = np.zeros(A.shape[:-2], dtype=np.int64)
-    for j in range(k):
-        term = A[..., 0, j] * _laplace(np.delete(rest, j, axis=-1))
-        total = total - term if j % 2 else total + term
-    return total
+    return minor(0, tuple(range(k)))
 
 
 @dataclass
@@ -408,6 +428,142 @@ class SumRateResult:
     coefficients: np.ndarray
     rate_bits: float
     fallback: bool = False  # identity fallback, no full-rank candidate tuple
+
+
+# z-box points past which a search of _sum_rates takes the scalar _enumerate walk
+_BOX_CAP = 4096
+
+
+def _candidates(H: np.ndarray, powers, n: int):
+    """``top_coefficient_vectors(H[m], P, n)`` of every receiver m at every P of ``powers``.
+
+    Returns a (powers, K) nested list of ranked int arrays, or of the exceptions the
+    scalar searches raise, and the mask of the searches that took the scalar walk.
+    Each search keeps its checks and ``_lll``; one array pass over all of them takes
+    the seed radius R, the n-th best seed of ``_enumerate``'s box widened by the slack.
+    A vector that can rank in the top n has q(z) <= R on the reduced basis, so
+    |z_i| <= sqrt(R (G^-1)_ii) (Fincke-Pohst), widened by the slack again for the float
+    error of G^-1. That z-box, cut to the sign-canonical in-ball vectors, is a complete
+    pool, ranked by ``_rank`` as the walk's pool is. A box of more than ``_BOX_CAP``
+    points takes the walk, so a search holds at most one capped box.
+    """
+    k = H.shape[0]
+    found = [[None] * k for _ in powers]
+    jobs, forms = [], []
+    for i, power in enumerate(powers):
+        for m, h in enumerate(H):
+            try:
+                p = _check_power(power)
+                forms.append(_form(h, p))
+                jobs.append((i, m, p))
+            except Exception as exc:  # per search: its point raises the first one
+                found[i][m] = exc
+    scalar = np.zeros((len(powers), k), dtype=bool)
+    if not jobs:
+        return found, scalar
+    p = np.array([job[2] for job in jobs])
+    hn2, bound, slack = (np.array(x) for x in list(zip(*forms))[:3])
+    basis, mu, r = (np.array(x, dtype=float) for x in zip(*(form[3] for form in forms)))
+    w = _seed_width(k, n)
+    # the seeds: the box after its centre, then the multiples of b_1 past it, which bound
+    # R tightly on a form that is short along b_1 only (integer channels at high SNR)
+    seeds = list(itertools.product(range(-w, w + 1), repeat=k))[(2 * w + 1) ** k // 2 + 1:]
+    seeds += [(t,) + (0,) * (k - 1) for t in range(w + 1, n + 1)]
+    A = np.array(seeds, dtype=float) @ basis
+    n2 = (A * A).sum(2)
+    dot = (A @ H[[job[1] for job in jobs]][:, :, None])[..., 0]
+    value = np.where(n2 <= bound[:, None], n2 + p[:, None] * (hn2[:, None] * n2 - dot * dot),
+                     np.inf)
+    nth = np.sort(value, axis=1)[:, n - 1]  # inf: fewer than n seeds in the ball
+    radius = slack * np.where(np.isfinite(nth), nth, (1.0 + p * hn2) * bound)
+    inv = np.linalg.inv(mu)  # G = mu diag(r) mu^T, so (G^-1)_ii = sum_j (mu^-1)_ji^2 / r_j
+    half = np.floor(np.sqrt((radius * slack)[:, None] * (inv * inv / r[:, :, None]).sum(1)))
+    fits = np.prod(2.0 * half + 1.0, axis=1) <= _BOX_CAP
+    for j, (i, m, pj) in enumerate(jobs):
+        try:
+            if fits[j]:
+                hw = half[j].astype(int)
+                z = np.indices(tuple(2 * hw + 1)).reshape(k, -1).T - hw
+                a = z @ basis[j].astype(int)
+                lead = a[np.arange(len(a)), np.argmax(a != 0, axis=1)]
+                pool = a[((a * a).sum(1) <= bound[j]) & (lead > 0)].astype(float)
+            else:
+                scalar[i, m] = True
+                pool = _enumerate(H[m], pj, n, DEFAULT_SEARCH_BUDGET)
+            found[i][m] = _rank(H[m], pj, pool)[:n]
+        except Exception as exc:
+            found[i][m] = exc
+    return found, scalar
+
+
+def _sum_rates(H, powers, top_n: int = DEFAULT_TOP_N, exhaustive_limit: int = 3):
+    """``lattice_sum_rate(H, P)`` at every P of ``powers``, and where a search took the walk.
+
+    Returns one SumRateResult per power, or the exception that the scalar call raises
+    there, and the (powers, K) mask of the receiver searches that took ``_enumerate``.
+    The candidates come from ``_candidates``. They are scored with ``_rate``'s
+    arithmetic on arrays (``h @ a`` as a (1 x K)(K x 1) matmul, Python ``**`` squares)
+    and combined by ``_best_combo``, so every result is the scalar one bit for bit.
+    """
+    H = _as_channel(H)
+    k = H.shape[0]
+    if k > exhaustive_limit:
+        raise ResourceLimitError(
+            f"K={k} exceeds the exhaustive sum-rate limit {exhaustive_limit}"
+        )
+    if top_n < 1:
+        raise InvalidArgumentError(f"top_n must be at least 1, got {top_n}")
+    found, scalar = _candidates(H, powers, top_n)
+    results = [next((c for c in row if isinstance(c, Exception)), None) for row in found]
+    live = [i for i, res in enumerate(results) if res is None]
+    if not live:
+        return results, scalar
+    cands = [c for i in live for c in found[i]]
+    counts = [len(c) for c in cands]
+    A = np.concatenate(cands).astype(float)
+    h = np.repeat(np.tile(H, (len(live), 1)), counts, axis=0)
+    p = np.repeat([float(powers[i]) for i in live for _ in range(k)], counts)
+    hn2 = np.repeat([float(x @ x) for x in H] * len(live), counts)
+    d = (h[:, None, :] @ A[:, :, None])[:, 0, 0]  # the 1-D h @ a
+    n2 = (A * A).sum(1)
+    rate = (0.5 * np.log2(1.0 + p * hn2)
+            - 0.5 * np.log2(n2 + p * (hn2 * n2 - np.array([x ** 2 for x in d.tolist()]))))
+    scores = np.split(np.where(rate > 0.0, rate, 0.0), np.cumsum(counts)[:-1])
+    for n, i in enumerate(live):
+        try:
+            results[i] = _best_combo(H, float(powers[i]), cands[n * k:(n + 1) * k],
+                                     scores[n * k:(n + 1) * k])
+        except NumericRangeError as exc:  # the determinants' range guard
+            results[i] = exc
+    return results, scalar
+
+
+def _best_combo(H, power, cands, scores) -> SumRateResult:
+    """The best full-rank matrix with row m from ``cands[m]``, scored ``scores[m]``.
+
+    Each receiver's candidates lie along their own axis of the combo grid, so no
+    top_n^K matrix stack is built. A column's rate is the minimum over the rows that
+    use it, and the columns are summed in order, as in ``evaluate_sum_rate``; full rank
+    is decided by ``_det_int``. The first best matrix in ``itertools.product`` order (the
+    C order of the grid) wins; the identity, flagged, if none has full rank.
+    """
+    k = len(cands)
+
+    def along(m, x):
+        return x.reshape((1,) * m + (len(x),) + (1,) * (k - 1 - m) + x.shape[1:])
+
+    total = 0.0
+    for col in range(k):
+        least = np.inf
+        for m in range(k):
+            least = np.minimum(least, along(m, np.where(cands[m][:, col] != 0, scores[m], np.inf)))
+        total = total + least
+    full = _det_int([along(m, c) for m, c in enumerate(cands)]) != 0
+    if not full.any():
+        eye = np.eye(k, dtype=int)
+        return SumRateResult(eye, evaluate_sum_rate(H, power, eye), fallback=True)
+    best = np.unravel_index(np.argmax(np.where(full, total, -np.inf)), full.shape)
+    return SumRateResult(np.stack([c[j] for c, j in zip(cands, best)]), float(total[best]))
 
 
 def lattice_sum_rate(
@@ -418,38 +574,19 @@ def lattice_sum_rate(
 ) -> SumRateResult:
     """Best full-rank integer coefficient matrix over candidate tuples.
 
-    Per receiver the ``top_n`` best vectors of the coefficient search are
-    scored once and combined exhaustively, in one batched pass over the
-    stack of all top_n^K matrices (top_n^K K^2 8 bytes; 295 KB at K=3 and
-    the default top_n). Full rank is decided by exact int64 determinants,
-    not by Fraction elimination. Each matrix's sum rate accumulates the
-    same floats in the same order as ``evaluate_sum_rate``, and the first
-    best matrix in ``itertools.product`` order wins. Falls back to the
-    identity matrix (flagged) if no combination has full rank.
+    Per receiver the ``top_n`` best vectors of the coefficient search are scored
+    once and combined exhaustively: the one-power case of ``_sum_rates``, which
+    broadcasts the K candidate sets against one another instead of stacking all
+    top_n^K matrices. Full rank is decided by exact int64 determinants, not by
+    Fraction elimination. Each matrix's sum rate accumulates the same floats in the
+    same order as ``evaluate_sum_rate``, and the first best matrix in
+    ``itertools.product`` order wins. Falls back to the identity matrix (flagged) if
+    no combination has full rank.
     """
-    H = _as_channel(H)
-    k = H.shape[0]
-    if k > exhaustive_limit:
-        raise ResourceLimitError(
-            f"K={k} exceeds the exhaustive sum-rate limit {exhaustive_limit}"
-        )
-    cands = [np.array(top_coefficient_vectors(H[m], power, top_n)) for m in range(k)]
-    # the search has checked the rows and the power, and no candidate is zero
-    scores = [np.array([_rate(H[m], power, a) for a in cands[m].astype(float)])
-              for m in range(k)]
-    # combo index grid in itertools.product order: receiver 0 varies slowest
-    idx = np.indices([len(c) for c in cands]).reshape(k, -1)
-    A = np.stack([cands[m][idx[m]] for m in range(k)], axis=1)
-    R = np.stack([scores[m][idx[m]] for m in range(k)], axis=1)
-    total = np.zeros(len(A))
-    for col in range(k):
-        total += np.where(A[:, :, col] != 0, R, np.inf).min(axis=1)
-    full = _det_int(A) != 0
-    if not full.any():
-        eye = np.eye(k, dtype=int)
-        return SumRateResult(eye, evaluate_sum_rate(H, power, eye), fallback=True)
-    best = int(np.argmax(np.where(full, total, -np.inf)))
-    return SumRateResult(A[best].copy(), float(total[best]))
+    (result,), _ = _sum_rates(H, [power], top_n, exhaustive_limit)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def time_sharing_rate(H, power) -> float:
@@ -472,28 +609,34 @@ def mimo_upper_bound(H, power) -> float:
 
     Solved by water-filling across the squared singular values of H; the
     water level is found by bisection to ``MIMO_REL_TOL`` relative accuracy.
+    The one-power case of ``_mimo_bounds``.
+    """
+    return _mimo_bounds(H, [power])[0]
+
+
+def _mimo_bounds(H, powers) -> list:
+    """``mimo_upper_bound(H, P)`` at every P of ``powers``, from one SVD of H.
+
+    The bisections run side by side: a water level stops on its own test, so each
+    keeps the iteration count and the floats of a bisection at its power alone.
     """
     H = _as_channel(H)
-    power = _check_power(power)
-    k = H.shape[0]
+    total = H.shape[0] * np.array([_check_power(p) for p in powers])
     s2 = np.linalg.svd(H, compute_uv=False) ** 2
     s2 = s2[s2 > 0.0]
     if s2.size == 0:
-        return 0.0
-    total = k * float(power)
-
-    def allocated(mu):
-        return float(np.sum(np.maximum(0.0, mu - 1.0 / s2)))
-
-    lo, hi = 0.0, total + float(1.0 / s2.min())
-    while hi - lo > MIMO_REL_TOL * max(1.0, hi):
+        return [0.0] * len(total)
+    inv = 1.0 / s2
+    lo, hi = np.zeros_like(total), total + float(1.0 / s2.min())
+    while True:
+        live = hi - lo > MIMO_REL_TOL * np.maximum(1.0, hi)
+        if not live.any():
+            break
         mid = 0.5 * (lo + hi)
-        if allocated(mid) < total:
-            lo = mid
-        else:
-            hi = mid
-    q = np.maximum(0.0, 0.5 * (lo + hi) - 1.0 / s2)
-    return float(np.sum(0.5 * np.log2(1.0 + s2 * q)))
+        below = np.maximum(0.0, mid[:, None] - inv).sum(axis=1) < total
+        lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)
+    q = np.maximum(0.0, 0.5 * (lo + hi)[:, None] - inv)
+    return np.sum(0.5 * np.log2(1.0 + s2 * q), axis=1).tolist()
 
 
 @dataclass
@@ -629,6 +772,14 @@ def normalized_rate_sweep(h2_grid, snr_db_list) -> list[SweepRow]:
     return rows
 
 
+def _check_slope_grid(powers_db: np.ndarray, samples: int) -> None:
+    """``dof_slope``'s checks on its SNR grid, for ``samples`` rates."""
+    if samples < 3 or samples != powers_db.size:
+        raise InvalidArgumentError("need at least 3 matched samples")
+    if np.any(np.diff(powers_db) <= 0):
+        raise InvalidArgumentError("powers must be strictly increasing")
+
+
 def dof_slope(rate_bits, powers_db) -> float:
     """Least-squares slope of rate versus (1/2) log2(P): the empirical DoF.
 
@@ -641,10 +792,7 @@ def dof_slope(rate_bits, powers_db) -> float:
     """
     rate_bits = np.asarray(rate_bits, dtype=float)
     powers_db = np.asarray(powers_db, dtype=float)
-    if rate_bits.size < 3 or rate_bits.size != powers_db.size:
-        raise InvalidArgumentError("need at least 3 matched samples")
-    if np.any(np.diff(powers_db) <= 0):
-        raise InvalidArgumentError("powers must be strictly increasing")
+    _check_slope_grid(powers_db, rate_bits.size)
     x = 0.5 * np.log2(db_to_linear(powers_db))
     if np.ptp(x) == 0.0:
         raise InvalidArgumentError("degenerate regression: constant abscissa")

@@ -149,6 +149,53 @@ class TestDof:
         assert all(0.0 < lattice[key] <= mimo[key] for key in lattice)
 
 
+    @pytest.mark.parametrize("snrs, message", [(("40", "20", "60"), "powers must be strictly increasing"),
+                                               (("20", "40"), "need at least 3 matched samples")])
+    def test_bad_grid_fails_before_any_search(self, tmp_path, monkeypatch, snrs, message):
+        monkeypatch.setattr(cli.rates, "_sum_rates", no_search)
+        monkeypatch.setattr(cli.rates, "_mimo_bounds", no_search)
+        with pytest.raises(InvalidArgumentError, match=message):
+            cli.main(["dof", "--snr-db", *snrs, "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("config, snrs", [
+        ({"k": 3, "n_rational": 0, "n_real": 6}, (10, 12.5, 15)),  # the dof_k3 benchmark
+        ({"k": 2}, tuple(range(40, 81, 5))),
+        ({"k": 3}, tuple(range(40, 81, 5))),
+    ], ids=["dof_k3", "default-k2", "default-k3"])
+    def test_grids_take_no_scalar_walk(self, config, snrs):
+        powers = [float(cli.rates.db_to_linear(float(db))) for db in snrs]
+        for _, _, H in cli._dof_channels(config, 0):
+            _, walked = cli.rates._sum_rates(H, powers)
+            assert not walked.any()
+
+
+def no_search(*args, **kwargs):
+    raise AssertionError("a bad grid reached the searches")
+
+
+class TestRunJson:
+    def test_lists_only_this_commands_files(self, tmp_path):
+        out = tmp_path / "out"
+        cli.main(["invert", "--k", "2", "--l", "1", "--p", "3", "--set", "samples=1",
+                  "--out", str(out)])
+        cli.main(["fig2", "--snr-db", "20", "--set", "h2_points=3", "--out", str(out)])
+        assert json.loads((out / "run.json").read_text())["outputs"] == ["fig2.csv", "fig2.svg"]
+        assert (out / "invert.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("fig2", "--snr-db", "20", "--set", "h2_points=3"),
+        ("dof", "--snr-db", "10", "20", "30", "--set", "n_rational=1", "--set", "n_real=0"),
+        ("align", "--p", "3", "5", "3", "--trials", "2"),
+        ("invert", "--k", "2", "--l", "1", "--p", "3", "--set", "samples=1"),
+        ("dioph", "--set", "q_max=50", "--p", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_fresh_directory_lists_what_it_holds(self, tmp_path, argv):
+        # the listing run.json had when it was the directory's contents
+        out = run(tmp_path, *argv)
+        blob = json.loads((out / "run.json").read_text())
+        assert blob["outputs"] == sorted(set(os.listdir(out)) - {"run.json"})
+
+
 class TestAlign:
     def test_noiseless_example_zero_errors(self, tmp_path):
         out = run(tmp_path, "align", "--p", "5", "--trials", "200",

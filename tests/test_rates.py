@@ -303,6 +303,8 @@ def _oracle_cases():
     # summing the three column minima in another order changes the last bit here
     H = np.random.default_rng(4).uniform(0.5, 2.0, size=(3, 3))
     cases.append(pytest.param(H, 10, 16, id="K3-uniform-order-10dB"))
+    # h.a ** 2 (libm pow) and h.a * h.a differ in the last bit here, and so do the rates
+    cases.append(pytest.param(np.array([[0.7872857723119473]]), 10, 16, id="K1-square-10dB"))
     # integer gains: the singular ones tie several full-rank matrices at the
     # maximum (first one wins) and reach the identity fallback at high SNR
     integer = (([[1, 2], [2, 1]], (10, 20, 40, 60), 16),
@@ -373,7 +375,77 @@ class TestLatticeSumRate:
             rates.lattice_sum_rate(np.eye(4), 10.0)
 
 
+class TestSumRateGrid:
+    """``_sum_rates``: a whole SNR grid of sum rates at once, ``lattice_sum_rate`` point by point."""
+
+    @pytest.mark.parametrize("cap, walked", [(0, [[1, 1]] * 4), (64, [[1, 1], [0, 0], [0, 0], [0, 0]])],
+                             ids=["every-search", "20dB-only"])
+    def test_capped_boxes_take_the_scalar_walk(self, monkeypatch, cap, walked):
+        # an integer K=2 channel: at 20 dB its boxes hold more than 64 points, past 40 dB fewer
+        monkeypatch.setattr(rates, "_BOX_CAP", cap)
+        H = np.array([[1.0, 2.0], [2.0, 1.0]])
+        powers = [float(rates.db_to_linear(db)) for db in (20, 40, 60, 80)]
+        results, scalar = rates._sum_rates(H, powers)
+        assert scalar.astype(int).tolist() == walked
+        for power, res in zip(powers, results):
+            ref_A, ref_rate, ref_fallback = reference_sum_rate(H, power)
+            assert (res.coefficients.tolist(), res.rate_bits, res.fallback) == (
+                ref_A.tolist(), ref_rate, ref_fallback)
+
+    def test_each_point_keeps_its_own_error(self):
+        # 1e13 is past double precision, 0 and nan fail the power check: the other points
+        # still get their results, and each failing one the scalar call's error
+        H = np.array([[1.0, 0.5], [0.3, 1.2]])
+        powers = [10.0, 1e13, 0.0, NAN, 100.0]
+        results, _ = rates._sum_rates(H, powers)
+        for power, res in zip(powers, results):
+            try:
+                want = rates.lattice_sum_rate(H, power)
+            except Exception as exc:
+                assert type(res) is type(exc) and str(res) == str(exc)
+            else:
+                assert (res.coefficients.tolist(), res.rate_bits) == (
+                    want.coefficients.tolist(), want.rate_bits)
+        assert [type(r).__name__ for r in results] == [
+            "SumRateResult", "NumericRangeError", "InvalidArgumentError", "InvalidArgumentError",
+            "SumRateResult"]
+
+    def test_top_n_must_be_positive(self):
+        with pytest.raises(InvalidArgumentError, match="top_n must be at least 1, got 0"):
+            rates.lattice_sum_rate(np.eye(2), 10.0, top_n=0)
+
+    def test_batched_bisection_equals_the_per_power_one(self):
+        rng = np.random.default_rng(12)
+        powers = [float(rates.db_to_linear(db)) for db in (-10, 0, 5, 17.5, 40, 80, 120)]
+        for H in (rng.uniform(0.5, 2.0, size=(3, 3)), rng.normal(size=(2, 2)), np.ones((2, 2)),
+                  np.eye(3), rng.normal(size=(9, 9))):
+            want = [scalar_mimo(H, P) for P in powers]
+            assert len({steps for _, steps in want}) > 1  # the powers stop at different steps
+            assert [v.hex() for v in rates._mimo_bounds(H, powers)] == [v.hex() for v, _ in want]
+            assert [rates.mimo_upper_bound(H, P).hex() for P in powers] == [v.hex() for v, _ in want]
+        assert rates._mimo_bounds(np.zeros((2, 2)), powers) == [0.0] * len(powers)
+
+
+def scalar_mimo(H, power):
+    """The per-power water-filling bisection, and the number of steps it took."""
+    s2 = np.linalg.svd(H, compute_uv=False) ** 2
+    s2 = s2[s2 > 0.0]
+    total = H.shape[0] * float(power)
+    lo, hi, steps = 0.0, total + float(1.0 / s2.min()), 0
+    while hi - lo > rates.MIMO_REL_TOL * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if float(np.sum(np.maximum(0.0, mid - 1.0 / s2))) < total:
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+    q = np.maximum(0.0, 0.5 * (lo + hi) - 1.0 / s2)
+    return float(np.sum(0.5 * np.log2(1.0 + s2 * q))), steps
+
+
 class TestDetInt:
+    """``_det_int`` takes the K row sets: a stack of matrices is passed as its rows."""
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_full_rank_matches_rank_exact(self, k):
         rng = np.random.default_rng(40 + k)
@@ -382,13 +454,27 @@ class TestDetInt:
         A[1::6, -1] = -2 * A[1::6, 0]  # collinear rows
         A[2::6, k // 2] = 0  # zero row
         A[3::6, :, -1] = A[3::6, :, 0]  # repeated column
-        det = rates._det_int(A)
+        det = rates._det_int([A[:, m] for m in range(k)])
         assert det.dtype == np.int64 and det.shape == (240,)
         assert [d != 0 for d in det] == [rates._rank_exact(a) == k for a in A]
         assert np.array_equal(det, np.rint(np.linalg.det(A.astype(float))).astype(np.int64))
         if k > 1:
             assert not det[0::6].any() and not det[1::6].any() and not det[3::6].any()
         assert not det[2::6].any()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_candidate_sets_give_every_combination(self, k):
+        # each receiver's set along its own axis: the grid of all combinations, C order
+        # being itertools.product order
+        rng = np.random.default_rng(50 + k)
+        sets = [rng.integers(-2, 3, size=(n, k)) for n in (5, 4, 3)[:k]]
+        sets[-1][0] = sets[0][0]  # singular combinations
+        grid = rates._det_int([s.reshape((1,) * m + (len(s),) + (1,) * (k - 1 - m) + (k,))
+                               for m, s in enumerate(sets)])
+        stack = np.array([np.stack(rows) for rows in itertools.product(*sets)])
+        assert grid.shape == tuple(len(s) for s in sets)
+        assert np.array_equal(grid.ravel(), rates._det_int([stack[:, m] for m in range(k)]))
+        assert [d != 0 for d in grid.ravel()] == [rates._rank_exact(a) == k for a in stack]
 
     def test_exact_near_the_int64_limit(self):
         m = 1_100_000  # 3! m^3 = 7.99e18 still fits int64
