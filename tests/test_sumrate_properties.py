@@ -41,7 +41,7 @@ def assert_same_error(got, exc):
     assert type(got) is type(exc) and str(got) == str(exc)
 
 
-@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
 @hypothesis.given(channel_grids())
 def test_sum_rates_equal_the_reference_loop(case):
     H, powers, top_n = case
@@ -58,7 +58,7 @@ def test_sum_rates_equal_the_reference_loop(case):
             ref_A.tolist(), ref_rate, ref_fallback)
 
 
-@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
 @hypothesis.given(channel_grids())
 def test_candidates_equal_the_scalar_and_exhaustive_searches(case):
     H, powers, _ = case
