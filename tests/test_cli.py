@@ -149,8 +149,10 @@ class TestDof:
         assert all(0.0 < lattice[key] <= mimo[key] for key in lattice)
 
 
-    @pytest.mark.parametrize("snrs, message", [(("40", "20", "60"), "powers must be strictly increasing"),
-                                               (("20", "40"), "need at least 3 matched samples")])
+    @pytest.mark.parametrize("snrs, message", [
+        (("40", "20", "60"), "powers must be strictly increasing"),
+        (("20", "40"), "need at least 3 matched samples"),
+    ])
     def test_bad_grid_fails_before_any_search(self, tmp_path, monkeypatch, snrs, message):
         monkeypatch.setattr(cli.rates, "_sum_rates", no_search)
         monkeypatch.setattr(cli.rates, "_mimo_bounds", no_search)

@@ -376,10 +376,12 @@ class TestLatticeSumRate:
 
 
 class TestSumRateGrid:
-    """``_sum_rates``: a whole SNR grid of sum rates at once, ``lattice_sum_rate`` point by point."""
+    """``_sum_rates``: a whole SNR grid at once, ``lattice_sum_rate`` point by point."""
 
-    @pytest.mark.parametrize("cap, walked", [(0, [[1, 1]] * 4), (64, [[1, 1], [0, 0], [0, 0], [0, 0]])],
-                             ids=["every-search", "20dB-only"])
+    @pytest.mark.parametrize("cap, walked", [
+        (0, [[1, 1]] * 4),
+        (64, [[1, 1], [0, 0], [0, 0], [0, 0]]),
+    ], ids=["every-search", "20dB-only"])
     def test_capped_boxes_take_the_scalar_walk(self, monkeypatch, cap, walked):
         # an integer K=2 channel: at 20 dB its boxes hold more than 64 points, past 40 dB fewer
         monkeypatch.setattr(rates, "_BOX_CAP", cap)
@@ -422,7 +424,8 @@ class TestSumRateGrid:
             want = [scalar_mimo(H, P) for P in powers]
             assert len({steps for _, steps in want}) > 1  # the powers stop at different steps
             assert [v.hex() for v in rates._mimo_bounds(H, powers)] == [v.hex() for v, _ in want]
-            assert [rates.mimo_upper_bound(H, P).hex() for P in powers] == [v.hex() for v, _ in want]
+            one = [rates.mimo_upper_bound(H, P) for P in powers]
+            assert [v.hex() for v in one] == [v.hex() for v, _ in want]
         assert rates._mimo_bounds(np.zeros((2, 2)), powers) == [0.0] * len(powers)
 
 

@@ -72,7 +72,8 @@ def fold(paths: list, pr: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="the number in BENCH_<pr>.json")
-    parser.add_argument("--out", type=Path, help="output path (default: BENCH_<pr>.json at the root)")
+    parser.add_argument("--out", type=Path,
+                        help="output path (default: BENCH_<pr>.json at the root)")
     parser.add_argument("records", nargs="*", type=Path,
                         help="run records (default: .perfbench-out/*-trace0.json)")
     args = parser.parse_args(argv)
