@@ -160,13 +160,16 @@ def cmd_fig2(config: dict, outdir: str) -> list:
         cells = ((0, 0, f"error:{type(r).__name__}") if isinstance(r, Exception)
                  else (*r.coefficients, r.normalized_rate))
         rows.append([SCHEMA_VERSION, seed, derive_seed(seed, i, j), float(grid[i]), snrs[j], *cells])
-    text = write_csv(os.path.join(outdir, "fig2.csv"), header, rows)
-    header_row, data = read_csv_text(text)
-    series = []
-    for db in snrs:
-        xs = [float(r[3]) for r in data if float(r[4]) == db and not r[7].startswith("error")]
-        ys = [float(r[7]) for r in data if float(r[4]) == db and not r[7].startswith("error")]
-        series.append((f"{db:g} dB", (xs, ys)))
+    write_csv(os.path.join(outdir, "fig2.csv"), header, rows)
+    # the SVG plots the values as the CSV prints them: a series holds, in row order, the
+    # rows whose printed SNR reads back as its own
+    plotted = {}
+    for row in rows:
+        if not isinstance(row[7], str):  # an error marker
+            xs, ys = plotted.setdefault(float(_fmt(row[4])), ([], []))
+            xs.append(float(_fmt(row[3])))
+            ys.append(float(_fmt(row[7])))
+    series = [(f"{db:g} dB", plotted.get(db, ([], []))) for db in snrs]
     with open(os.path.join(outdir, "fig2.svg"), "w", encoding="utf-8") as fh:
         fh.write(svg_line_chart(series, "normalized best-equation rate, h = (1, h2)",
                                 "h2", "normalized rate"))

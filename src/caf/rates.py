@@ -12,24 +12,23 @@ clamped at zero. All logarithms here are base 2 and powers are linear
 Coefficient optimization is exact over the integer ball
 ``1 <= ||a||^2 <= ceil(||h||^2 P)``. The loss is the positive-definite form
 ``a^T (I + P(||h||^2 I - h h^T)) a``, so the best equations are its shortest
-vectors: for any K the search LLL-reduces the form and enumerates it
-(Schnorr-Euchner). Candidates are ranked by the same loss expression as the
-exhaustive oracle, so the two agree bit for bit.
+vectors. One search, ``_candidates``, serves any K and any number of rows and
+powers at once. Each search LLL-reduces the form on Python floats and ints (at
+K <= 4 a numpy call costs more than its arithmetic); one array pass over all of
+them takes the seed radius and a Fincke-Pohst box around it, and a box past
+``_BOX_CAP`` points takes the Schnorr-Euchner walk (``_enumerate``) from that
+radius instead. What sets the output is vectorised and shared with the
+exhaustive oracle: ``_loss_values`` over the pooled candidates and the
+``np.lexsort`` ranking on them (``_rank``), so the two agree bit for bit. The
+basis and the radius only decide which vectors enter the pool, and every vector
+that can rank in the top n does, whatever their float error (``_RADIUS_SLACK``),
+so the output bytes depend neither on how the basis was reduced nor on box or walk.
 
-One search works on a K-vector, so its per-call work (input checks, the LLL
-basis and its LDL^T, the seed radius, the enumeration) runs on Python floats
-and ints: at K <= 4 a numpy call costs more than its arithmetic. What sets the
-output is vectorised and shared with the oracle: ``_loss_values`` over the
-pooled candidates and the ``np.lexsort`` ranking on them (``_rank``). The basis and the
-radius only decide which vectors enter the pool, and every vector that can rank
-in the top n does, whatever their float error (``_RADIUS_SLACK``), so the
-output bytes do not depend on how the basis was reduced. Two commands batch their
-searches on that ground. The K=2 sweep of ``caf fig2`` finds every point's best
-equation in one array pass (``_k2_winners``, exact Gauss reduction); a point whose
-winner it cannot certify takes the scalar search. ``caf dof`` runs a channel's whole
-SNR grid at once (``_sum_rates``): each search keeps its checks and LLL basis, but
-its pool is a Fincke-Pohst box, and the walk takes only boxes past ``_BOX_CAP``;
-the scores, the combinations and the MIMO water-filling are array passes too.
+``best_coefficient_vector`` and ``top_coefficient_vectors`` run one search, and
+``caf dof`` one per channel over its whole SNR grid (``_sum_rates``), whose scores,
+combinations and MIMO water-filling are array passes too. The K=2 sweep of ``caf
+fig2`` finds every point's best equation in one array pass (``_k2_winners``, exact
+Gauss reduction); a point it cannot certify takes ``best_coefficient_vector``.
 """
 
 from __future__ import annotations
@@ -54,6 +53,9 @@ _RADIUS_SLACK = 2.0**10
 
 # default number of per-receiver candidates combined in the sum-rate search
 DEFAULT_TOP_N = 16
+
+# largest K whose top_n^K candidate combinations the sum-rate search scores
+_SUM_RATE_K_LIMIT = 3
 
 # relative accuracy of the water level that mimo_upper_bound bisects for
 MIMO_REL_TOL = 1e-10
@@ -174,7 +176,7 @@ def _lll(h: np.ndarray, power: float, hn2: float) -> tuple[list, list, list]:
     It is scalar arithmetic: the basis is Python ints, the LDL^T rows are
     Python floats, and only the rows from the first one that a size
     reduction or swap changed are recomputed. A pivot that is not positive
-    raises NumericRangeError. The basis only steers ``_enumerate``; the
+    raises NumericRangeError. The basis only steers ``_candidates``; the
     ranking is recomputed from the pooled vectors, so its float error never
     reaches the output.
     """
@@ -236,37 +238,22 @@ def _seed_width(k: int, n: int) -> int:
     return next(w for w in itertools.count(1) if (2 * w + 1) ** k // 2 >= n)
 
 
-def _enumerate(h: np.ndarray, power: float, n: int, budget: int) -> np.ndarray:
+def _enumerate(n: int, budget: int, form, radius: float) -> np.ndarray:
     """Sign-canonical in-ball vectors, among them all that can rank in the top n.
 
-    Schnorr-Euchner enumeration of the LLL-reduced loss form over half of
-    Z^K (the last nonzero z_i positive), so each +-pair is visited once.
-    The radius starts at the n-th best seed, a combination of basis vectors
-    with coefficients in a small box, and shrinks to the n-th best value
-    found. Each radius is widened by ``slack``, which covers the float
-    error of the enumerated values and of ``_loss_values``.
+    The walk of ``_candidates`` for a box past its cap. ``form`` is the search's
+    ``_form`` and ``radius`` its seed radius, widened by the slack once. Schnorr-Euchner
+    enumeration of the LLL-reduced loss form over half of Z^K (the last nonzero z_i
+    positive), so each +-pair is visited once. The radius shrinks to the n-th best value
+    found, widened by ``slack``, which covers the float error of the enumerated values
+    and of ``_loss_values``. Past ``budget`` leaves it raises ResourceLimitError.
 
-    The seeds, the walk and the leaves are scalar Python arithmetic on the
-    K coordinates. Only the returned pool reaches the output: it holds every
-    vector that can rank in the top n, whichever basis and radius led to it,
-    and ``_ranked_candidates`` ranks it with the vectorised ``_loss_values``.
+    The walk and the leaves are scalar Python arithmetic on the K coordinates. Only the
+    returned pool reaches the output: it holds every vector that can rank in the top n,
+    whichever basis and radius led to it, and ``_rank`` ranks it with ``_loss_values``.
     """
-    k = h.size
-    hn2, bound, slack, (basis, mu, r) = _form(h, power)
-    hs = h.tolist()
-    w = _seed_width(k, n)
-    # the box points after its centre in product order: first nonzero z_i positive
-    box = itertools.product(range(-w, w + 1), repeat=k)
-    seeds = []
-    for zs in itertools.islice(box, (2 * w + 1) ** k // 2 + 1, None):
-        a = [sum(zj * b[col] for zj, b in zip(zs, basis)) for col in range(k)]
-        n2 = sum(x * x for x in a)
-        if n2 <= bound:
-            dot = sum(x * y for x, y in zip(a, hs))
-            seeds.append(n2 + power * (hn2 * n2 - dot * dot))
-    # too few seeds in the ball: every in-ball a has q(a) <= (1 + P ||h||^2) ||a||^2
-    radius = slack * (heapq.nsmallest(n, seeds)[-1] if len(seeds) >= n
-                      else (1.0 + power * hn2) * bound)
+    _, bound, slack, (basis, mu, r) = form
+    k = len(basis)
     z, pool, heap, leaves = [0] * k, [], [], 0  # heap: the n smallest values, negated
 
     def visit(i, partial):
@@ -301,18 +288,87 @@ def _enumerate(h: np.ndarray, power: float, n: int, budget: int) -> np.ndarray:
     return np.array(pool, dtype=float)
 
 
+# z-box points past which a search takes the _enumerate walk
+_BOX_CAP = 4096
+
+
+def _candidates(H: np.ndarray, powers, n: int, budget: int = DEFAULT_SEARCH_BUDGET):
+    """The top n coefficient vectors of every channel row H[m] at every P of ``powers``.
+
+    Returns a (powers, rows) nested list of ranked int arrays, or of the exceptions the
+    searches raise, and the mask of the searches that took the walk. Each search runs
+    its checks and ``_lll`` once (``_form``); one array pass over all of them takes the
+    seed radius R, the n-th best loss of the seeds widened by the slack. The seeds are
+    the combinations of basis vectors with coefficients in a small box, and the
+    multiples of b_1 past it. A vector that can rank in the top n has q(z) <= R on the
+    reduced basis, so |z_i| <= sqrt(R (G^-1)_ii) (Fincke-Pohst), widened by the slack
+    again for the float error of G^-1. That z-box, cut to the sign-canonical in-ball
+    vectors, is a complete pool, ranked by ``_rank``. A box of more than
+    min(``_BOX_CAP``, ``budget``) points takes the ``_enumerate`` walk from R instead,
+    so a search holds at most one capped box.
+    """
+    k = H.shape[1]
+    found = [[None] * len(H) for _ in powers]
+    jobs, forms = [], []
+    for i, power in enumerate(powers):
+        for m, h in enumerate(H):
+            try:
+                p = _check_power(power)
+                forms.append(_form(h, p))
+                jobs.append((i, m, p))
+            except Exception as exc:  # per search: its point raises the first one
+                found[i][m] = exc
+    walked = np.zeros((len(powers), len(H)), dtype=bool)
+    if not jobs:
+        return found, walked
+    p = np.array([job[2] for job in jobs])
+    hn2, bound, slack = (np.array(x) for x in list(zip(*forms))[:3])
+    basis, mu, r = (np.array(x, dtype=float) for x in zip(*(form[3] for form in forms)))
+    w = _seed_width(k, n)
+    # the seeds: the box after its centre, then the multiples of b_1 past it, which bound
+    # R tightly on a form that is short along b_1 only (integer channels at high SNR)
+    seeds = list(itertools.product(range(-w, w + 1), repeat=k))[(2 * w + 1) ** k // 2 + 1:]
+    seeds += [(t,) + (0,) * (k - 1) for t in range(w + 1, n + 1)]
+    A = np.array(seeds, dtype=float) @ basis
+    n2 = (A * A).sum(2)
+    dot = (A @ H[[job[1] for job in jobs]][:, :, None])[..., 0]
+    value = np.where(n2 <= bound[:, None], n2 + p[:, None] * (hn2[:, None] * n2 - dot * dot),
+                     np.inf)
+    nth = np.sort(value, axis=1)[:, n - 1]  # inf: fewer than n seeds in the ball
+    radius = slack * np.where(np.isfinite(nth), nth, (1.0 + p * hn2) * bound)
+    inv = np.linalg.inv(mu)  # G = mu diag(r) mu^T, so (G^-1)_ii = sum_j (mu^-1)_ji^2 / r_j
+    half = np.floor(np.sqrt((radius * slack)[:, None] * (inv * inv / r[:, :, None]).sum(1)))
+    fits = np.prod(2.0 * half + 1.0, axis=1) <= min(_BOX_CAP, budget)
+    for j, (i, m, pj) in enumerate(jobs):
+        try:
+            if fits[j]:
+                hw = half[j].astype(int)
+                z = np.indices(tuple(2 * hw + 1)).reshape(k, -1).T - hw
+                a = z @ basis[j].astype(int)
+                lead = a[np.arange(len(a)), np.argmax(a != 0, axis=1)]
+                pool = a[((a * a).sum(1) <= bound[j]) & (lead > 0)].astype(float)
+            else:
+                walked[i, m] = True
+                pool = _enumerate(n, budget, forms[j], float(radius[j]))
+            found[i][m] = _rank(H[m], pj, pool)[:n]
+        except Exception as exc:
+            found[i][m] = exc
+    return found, walked
+
+
 def _ranked_candidates(h, power, mode, budget, n) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if not _finite(h):
         raise InvalidArgumentError("h must be finite")
     power = _check_power(power)
     if mode == "auto":
-        A = _enumerate(h, power, n, budget)
-    elif mode == "exhaustive":
-        A = _enumerate_ball(h, power, budget)
-    else:
-        raise InvalidArgumentError(f"unknown search mode {mode!r}")
-    return _rank(h, power, A)
+        ranked = _candidates(h[None], [power], n, budget)[0][0][0]
+        if isinstance(ranked, Exception):
+            raise ranked
+        return ranked
+    if mode == "exhaustive":
+        return _rank(h, power, _enumerate_ball(h, power, budget))
+    raise InvalidArgumentError(f"unknown search mode {mode!r}")
 
 
 def _rank(h: np.ndarray, power: float, A: np.ndarray) -> np.ndarray:
@@ -330,8 +386,10 @@ def best_coefficient_vector(
 
     Ties are broken by smallest squared norm, then lexicographic order;
     the result has its first nonzero entry positive. ``mode`` is ``auto``
-    (lattice reduction and enumeration, any K) or ``exhaustive`` (the whole
-    ball, the test oracle); both raise ResourceLimitError past ``budget``.
+    (``_candidates``, any K) or ``exhaustive`` (the whole ball, the test
+    oracle), which raises ResourceLimitError past ``budget`` points. ``auto``
+    ranks a box of at most ``budget`` points, so it does not raise there; a
+    larger box takes the walk, which raises ResourceLimitError past ``budget`` leaves.
 
     Returns ``(a, rate_bits)``.
     """
@@ -345,6 +403,8 @@ def top_coefficient_vectors(
     h, power, n: int, mode: str = "auto", budget: int = DEFAULT_SEARCH_BUDGET
 ) -> list[np.ndarray]:
     """The n best candidate vectors of the coefficient search, ranked."""
+    if n < 1:
+        raise InvalidArgumentError(f"n must be at least 1, got {n}")
     ranked = _ranked_candidates(h, power, mode, budget, n)
     return [ranked[i] for i in range(min(n, len(ranked)))]
 
@@ -430,94 +490,29 @@ class SumRateResult:
     fallback: bool = False  # identity fallback, no full-rank candidate tuple
 
 
-# z-box points past which a search of _sum_rates takes the scalar _enumerate walk
-_BOX_CAP = 4096
-
-
-def _candidates(H: np.ndarray, powers, n: int):
-    """``top_coefficient_vectors(H[m], P, n)`` of every receiver m at every P of ``powers``.
-
-    Returns a (powers, K) nested list of ranked int arrays, or of the exceptions the
-    scalar searches raise, and the mask of the searches that took the scalar walk.
-    Each search keeps its checks and ``_lll``; one array pass over all of them takes
-    the seed radius R, the n-th best seed of ``_enumerate``'s box widened by the slack.
-    A vector that can rank in the top n has q(z) <= R on the reduced basis, so
-    |z_i| <= sqrt(R (G^-1)_ii) (Fincke-Pohst), widened by the slack again for the float
-    error of G^-1. That z-box, cut to the sign-canonical in-ball vectors, is a complete
-    pool, ranked by ``_rank`` as the walk's pool is. A box of more than ``_BOX_CAP``
-    points takes the walk, so a search holds at most one capped box.
-    """
-    k = H.shape[0]
-    found = [[None] * k for _ in powers]
-    jobs, forms = [], []
-    for i, power in enumerate(powers):
-        for m, h in enumerate(H):
-            try:
-                p = _check_power(power)
-                forms.append(_form(h, p))
-                jobs.append((i, m, p))
-            except Exception as exc:  # per search: its point raises the first one
-                found[i][m] = exc
-    scalar = np.zeros((len(powers), k), dtype=bool)
-    if not jobs:
-        return found, scalar
-    p = np.array([job[2] for job in jobs])
-    hn2, bound, slack = (np.array(x) for x in list(zip(*forms))[:3])
-    basis, mu, r = (np.array(x, dtype=float) for x in zip(*(form[3] for form in forms)))
-    w = _seed_width(k, n)
-    # the seeds: the box after its centre, then the multiples of b_1 past it, which bound
-    # R tightly on a form that is short along b_1 only (integer channels at high SNR)
-    seeds = list(itertools.product(range(-w, w + 1), repeat=k))[(2 * w + 1) ** k // 2 + 1:]
-    seeds += [(t,) + (0,) * (k - 1) for t in range(w + 1, n + 1)]
-    A = np.array(seeds, dtype=float) @ basis
-    n2 = (A * A).sum(2)
-    dot = (A @ H[[job[1] for job in jobs]][:, :, None])[..., 0]
-    value = np.where(n2 <= bound[:, None], n2 + p[:, None] * (hn2[:, None] * n2 - dot * dot),
-                     np.inf)
-    nth = np.sort(value, axis=1)[:, n - 1]  # inf: fewer than n seeds in the ball
-    radius = slack * np.where(np.isfinite(nth), nth, (1.0 + p * hn2) * bound)
-    inv = np.linalg.inv(mu)  # G = mu diag(r) mu^T, so (G^-1)_ii = sum_j (mu^-1)_ji^2 / r_j
-    half = np.floor(np.sqrt((radius * slack)[:, None] * (inv * inv / r[:, :, None]).sum(1)))
-    fits = np.prod(2.0 * half + 1.0, axis=1) <= _BOX_CAP
-    for j, (i, m, pj) in enumerate(jobs):
-        try:
-            if fits[j]:
-                hw = half[j].astype(int)
-                z = np.indices(tuple(2 * hw + 1)).reshape(k, -1).T - hw
-                a = z @ basis[j].astype(int)
-                lead = a[np.arange(len(a)), np.argmax(a != 0, axis=1)]
-                pool = a[((a * a).sum(1) <= bound[j]) & (lead > 0)].astype(float)
-            else:
-                scalar[i, m] = True
-                pool = _enumerate(H[m], pj, n, DEFAULT_SEARCH_BUDGET)
-            found[i][m] = _rank(H[m], pj, pool)[:n]
-        except Exception as exc:
-            found[i][m] = exc
-    return found, scalar
-
-
-def _sum_rates(H, powers, top_n: int = DEFAULT_TOP_N, exhaustive_limit: int = 3):
+def _sum_rates(H, powers, top_n: int = DEFAULT_TOP_N):
     """``lattice_sum_rate(H, P)`` at every P of ``powers``, and where a search took the walk.
 
-    Returns one SumRateResult per power, or the exception that the scalar call raises
-    there, and the (powers, K) mask of the receiver searches that took ``_enumerate``.
+    Returns one SumRateResult per power, or the exception that ``lattice_sum_rate``
+    raises there, and the (powers, K) mask of the receiver searches that took the walk.
     The candidates come from ``_candidates``. They are scored with ``_rate``'s
     arithmetic on arrays (``h @ a`` as a (1 x K)(K x 1) matmul, Python ``**`` squares)
-    and combined by ``_best_combo``, so every result is the scalar one bit for bit.
+    and combined by ``_best_combo``, so every result is the per-combination loop's
+    (``evaluate_sum_rate`` on each full-rank matrix) bit for bit.
     """
     H = _as_channel(H)
     k = H.shape[0]
-    if k > exhaustive_limit:
+    if k > _SUM_RATE_K_LIMIT:
         raise ResourceLimitError(
-            f"K={k} exceeds the exhaustive sum-rate limit {exhaustive_limit}"
+            f"K={k} exceeds the exhaustive sum-rate limit {_SUM_RATE_K_LIMIT}"
         )
     if top_n < 1:
         raise InvalidArgumentError(f"top_n must be at least 1, got {top_n}")
-    found, scalar = _candidates(H, powers, top_n)
+    found, walked = _candidates(H, powers, top_n)
     results = [next((c for c in row if isinstance(c, Exception)), None) for row in found]
     live = [i for i, res in enumerate(results) if res is None]
     if not live:
-        return results, scalar
+        return results, walked
     cands = [c for i in live for c in found[i]]
     counts = [len(c) for c in cands]
     A = np.concatenate(cands).astype(float)
@@ -535,7 +530,7 @@ def _sum_rates(H, powers, top_n: int = DEFAULT_TOP_N, exhaustive_limit: int = 3)
                                      scores[n * k:(n + 1) * k])
         except NumericRangeError as exc:  # the determinants' range guard
             results[i] = exc
-    return results, scalar
+    return results, walked
 
 
 def _best_combo(H, power, cands, scores) -> SumRateResult:
@@ -566,12 +561,7 @@ def _best_combo(H, power, cands, scores) -> SumRateResult:
     return SumRateResult(np.stack([c[j] for c, j in zip(cands, best)]), float(total[best]))
 
 
-def lattice_sum_rate(
-    H,
-    power,
-    top_n: int = DEFAULT_TOP_N,
-    exhaustive_limit: int = 3,
-) -> SumRateResult:
+def lattice_sum_rate(H, power, top_n: int = DEFAULT_TOP_N) -> SumRateResult:
     """Best full-rank integer coefficient matrix over candidate tuples.
 
     Per receiver the ``top_n`` best vectors of the coefficient search are scored
@@ -581,9 +571,10 @@ def lattice_sum_rate(
     Fraction elimination. Each matrix's sum rate accumulates the same floats in the
     same order as ``evaluate_sum_rate``, and the first best matrix in
     ``itertools.product`` order wins. Falls back to the identity matrix (flagged) if
-    no combination has full rank.
+    no combination has full rank. Past K = 3 (``_SUM_RATE_K_LIMIT``) it raises
+    ResourceLimitError.
     """
-    (result,), _ = _sum_rates(H, [power], top_n, exhaustive_limit)
+    (result,), _ = _sum_rates(H, [power], top_n)
     if isinstance(result, Exception):
         raise result
     return result
@@ -729,7 +720,8 @@ def _k2_winners(h2: np.ndarray, power: np.ndarray):
 
 
 def _sweep_results(h2_grid, snr_db_list):
-    """Each point's SweepRow or exception, in row order, and the mask of scalar-search points."""
+    """Each point's SweepRow or exception, in row order, and the mask of the points that
+    take ``best_coefficient_vector``."""
     h2s, dbs = [float(x) for x in h2_grid], [float(db) for db in snr_db_list]
     powers = [float(db_to_linear(db)) if db > 0 else math.nan for db in dbs]
     h2, power = np.repeat(h2s, len(dbs)), np.tile(powers, len(h2s))
@@ -756,8 +748,8 @@ def normalized_rate_sweep(h2_grid, snr_db_list) -> list[SweepRow]:
     """Best-equation rate for h = (1, h2), normalized by 1/2 log2(1 + (1+h2^2) P).
 
     Row order follows the (h2, snr) grid deterministically. One array pass (``_k2_winners``)
-    certifies the points with P ||h||^2 up to about 2e9, the others take the scalar search;
-    rows equal the scalar search's bit for bit. Raises the first failing point's error.
+    certifies the points with P ||h||^2 up to about 2e9, the others take
+    ``best_coefficient_vector``; rows equal its bit for bit. Raises the first failing point's error.
     """
     h2_grid = list(h2_grid)
     snr_db_list = list(snr_db_list)

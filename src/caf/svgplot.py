@@ -1,7 +1,7 @@
 """Minimal SVG line charts, no plotting dependency.
 
-Charts are regenerated purely from CSV content so figures can always be
-rebuilt offline from the data files.
+Callers plot the values as their CSV files print them, so a figure matches
+its data file and can be rebuilt offline from it.
 """
 
 from __future__ import annotations

@@ -119,6 +119,21 @@ class TestFig2:
         assert [v[3] for v in values if v[0] == "-5"] == ["error:InvalidArgumentError"] * 3
         assert [v[3] for v in values if v[0] == "130"] == ["error:NumericRangeError"] * 3
 
+    @pytest.mark.parametrize("snrs", [("20", "30"), ("20", "20", "40"),
+                                      ("-5", "20", "20.00000000000001", "20", "130")])
+    def test_svg_plots_the_csv_values(self, tmp_path, snrs):
+        # the SVG drawn from the CSV text read back: a series takes, in row order, every
+        # row whose printed SNR parses to its own, so a repeated SNR plots both columns
+        out = run(tmp_path, "fig2", "--set", "h2_points=9", "--snr-db", *snrs)
+        data = list(csv.reader(io.StringIO((out / "fig2.csv").read_text())))[1:]
+        series = []
+        for db in map(float, snrs):
+            rows = [r for r in data if float(r[4]) == db and not r[7].startswith("error")]
+            series.append((f"{db:g} dB", ([float(r[3]) for r in rows], [float(r[7]) for r in rows])))
+        want = cli.svg_line_chart(series, "normalized best-equation rate, h = (1, h2)",
+                                  "h2", "normalized rate")
+        assert (out / "fig2.svg").read_text() == want
+
     def test_endpoint_value(self, tmp_path):
         out = run(tmp_path, "fig2", "--set", "h2_points=3", "--snr-db", "20")
         lines = (out / "fig2.csv").read_text().splitlines()[1:]

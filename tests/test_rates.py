@@ -87,6 +87,23 @@ SEARCH_CASES = [
 ]
 
 
+# 0: every search takes the _enumerate walk; the default: a box up to the cap
+BOX_CAPS = (0, rates._BOX_CAP)
+
+
+@pytest.fixture
+def each_box_cap(monkeypatch):
+    """Iterate over ``BOX_CAPS`` with ``rates._BOX_CAP`` set to each in turn.
+
+    The test loops in its body, so one test id covers the box and its walk oracle.
+    """
+    def caps():
+        for cap in BOX_CAPS:
+            monkeypatch.setattr(rates, "_BOX_CAP", cap)
+            yield cap
+    return caps
+
+
 def raised(call):
     with pytest.raises(Exception) as info:
         call()
@@ -274,10 +291,11 @@ class TestBestCoefficientVector:
 
 
 def reference_sum_rate(H, power, top_n=rates.DEFAULT_TOP_N):
-    """The per-combo sum-rate loop: Fraction rank check, first strict max."""
+    """The per-combo sum-rate loop: the walk's candidates, Fraction rank check, first strict max."""
     H = np.asarray(H, dtype=float)
     k = H.shape[0]
-    cands = [rates.top_coefficient_vectors(H[m], power, top_n) for m in range(k)]
+    with mock.patch.object(rates, "_BOX_CAP", 0):  # every search walks
+        cands = [rates.top_coefficient_vectors(H[m], power, top_n) for m in range(k)]
     best_rate, best_A = -1.0, None
     for combo in itertools.product(*cands):
         A = np.stack(combo)
@@ -669,7 +687,7 @@ class TestChannelMatrix:
 class TestReducedSearchStress:
     """The LLL-reduced default search mirrors exhaustive exactly, argmax and ranking."""
 
-    def test_high_power_argmax_and_topn(self):
+    def test_high_power_argmax_and_topn(self, each_box_cap):
         rng = np.random.default_rng(99)
         checked = 0
         while checked < 8:
@@ -677,22 +695,24 @@ class TestReducedSearchStress:
             if np.abs(h).max() < 0.05:
                 continue
             P = min(float(2**23) / (np.pi * float(h @ h)) / 4, 10 ** rng.uniform(3.0, 5.0))
-            ar, rr = rates.best_coefficient_vector(h, P)
             ae, re = rates.best_coefficient_vector(h, P, mode="exhaustive", budget=1 << 24)
-            assert list(ar) == list(ae) and rr == re
             n = int(rng.integers(1, 20))
-            tr = rates.top_coefficient_vectors(h, P, n)
             te = rates.top_coefficient_vectors(h, P, n, mode="exhaustive", budget=1 << 24)
-            assert [list(a) for a in tr] == [list(a) for a in te]
+            for cap in each_box_cap():
+                ar, rr = rates.best_coefficient_vector(h, P)
+                assert (list(ar), rr) == (list(ae), re), cap
+                tr = rates.top_coefficient_vectors(h, P, n)
+                assert [list(a) for a in tr] == [list(a) for a in te], cap
             checked += 1
 
-    def test_tiny_leading_gain(self):
+    def test_tiny_leading_gain(self, each_box_cap):
         # shallow quadratic in a2: the enumeration must still rank exactly
         h = np.array([0.0241227, 0.26036653])
         for P in (4.7e4, 1.46e5):
-            tr = rates.top_coefficient_vectors(h, P, 16)
             te = rates.top_coefficient_vectors(h, P, 16, mode="exhaustive", budget=1 << 25)
-            assert [list(a) for a in tr] == [list(a) for a in te]
+            for cap in each_box_cap():
+                tr = rates.top_coefficient_vectors(h, P, 16)
+                assert [list(a) for a in tr] == [list(a) for a in te], cap
 
 
 def strip_oracle(h2, power, n):
@@ -724,22 +744,25 @@ class TestEnumeration:
         [1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 0.5, 0.0], [0.6, 1.1, 1.7, 0.9],
     ], ids=lambda h: "h=" + "_".join(f"{x:g}" for x in h))
     @pytest.mark.parametrize("db", [0.0, 5.0, 10.0, 15.0])
-    def test_top_n_matches_exhaustive_with_ties(self, h, db):
+    def test_top_n_matches_exhaustive_with_ties(self, h, db, each_box_cap):
         # integer and collinear rows tie many vectors at equal loss and norm
         P = float(rates.db_to_linear(db))
         for n in (1, 16, 40):
-            got = rates.top_coefficient_vectors(h, P, n)
             want = rates.top_coefficient_vectors(h, P, n, mode="exhaustive")
-            assert [list(a) for a in got] == [list(a) for a in want]
+            for cap in each_box_cap():
+                got = rates.top_coefficient_vectors(h, P, n)
+                assert [list(a) for a in got] == [list(a) for a in want], cap
 
     @pytest.mark.parametrize("db", [60.0, 70.0, 80.0])
-    def test_high_snr_matches_strip_oracle(self, db):
+    def test_high_snr_matches_strip_oracle(self, db, each_box_cap):
         # the whole ball is out of the exhaustive budget here
         P = float(rates.db_to_linear(db))
         h2s = list(np.linspace(0.0, 1.0, 1000)[::25]) + [0.5, 1.0 / 3.0, (math.sqrt(5.0) - 1.0) / 2.0]
         for h2 in h2s:
-            got = rates.top_coefficient_vectors([1.0, h2], P, 5)
-            assert [list(a) for a in got] == strip_oracle(h2, P, 5)
+            want = strip_oracle(h2, P, 5)
+            for cap in each_box_cap():
+                got = rates.top_coefficient_vectors([1.0, h2], P, 5)
+                assert [list(a) for a in got] == want, cap
 
     def test_float_error_within_radius_slack(self):
         # the enumerated values and _loss_values both stay far inside the slack
@@ -776,11 +799,47 @@ class TestEnumeration:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_leaf_budget(self):
+    def test_leaf_budget(self, each_box_cap):
+        # a box of more than `budget` points takes the walk, which stops past `budget` leaves
         h, P = [1.0, 0.3, 0.7], 1e4
-        assert len(rates.top_coefficient_vectors(h, P, 50)) == 50
-        with pytest.raises(ResourceLimitError, match="more than 20 leaves"):
-            rates.top_coefficient_vectors(h, P, 50, budget=20)
+        for cap in each_box_cap():
+            assert len(rates.top_coefficient_vectors(h, P, 50)) == 50
+            with pytest.raises(ResourceLimitError, match="more than 20 leaves"):
+                rates.top_coefficient_vectors(h, P, 50, budget=20)
+
+    def test_a_box_past_the_budget_takes_the_walk(self, monkeypatch):
+        # this search's box holds 297 points: a smaller budget walks, which needs fewer leaves
+        h, P = [1.0, 0.3, 0.7], 1e4
+        want = [list(a) for a in rates.top_coefficient_vectors(h, P, 16)]
+        walks, walk = [], rates._enumerate
+        monkeypatch.setattr(rates, "_enumerate", lambda *args: walks.append(1) or walk(*args))
+        for budget, walked in ((297, 0), (296, 1)):
+            assert [list(a) for a in rates.top_coefficient_vectors(h, P, 16, budget=budget)] == want
+            assert len(walks) == walked
+
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_top_n_must_be_positive(self, mode, n):
+        # an empty top n would come from a box but not from the walk
+        with pytest.raises(InvalidArgumentError, match=f"n must be at least 1, got {n}"):
+            rates.top_coefficient_vectors([1.0, 0.5], 100.0, n, mode=mode)
+
+    def test_one_lll_per_search(self, monkeypatch):
+        # the walk reuses the form and the seed radius of _candidates: one LLL per search
+        calls = []
+        lll = rates._lll
+        monkeypatch.setattr(rates, "_lll", lambda *args: calls.append(1) or lll(*args))
+        monkeypatch.setattr(rates, "_BOX_CAP", 0)
+        searches = 0
+        for h, P, n in (([1.0, 0.5], 1e3, 16), ([1.0, 0.3, 0.7], 1e4, 1), ([0.7], 10.0, 4),
+                        ([0.6, 1.1, 1.7, 0.9], 30.0, 40)):
+            rates.top_coefficient_vectors(h, P, n)
+            rates.best_coefficient_vector(h, P)
+            searches += 2
+        H = np.array([[1.0, 0.5, 0.2], [0.3, 1.2, 0.9], [1.4, 0.6, 1.1]])
+        _, walked = rates._sum_rates(H, [10.0, 100.0])
+        assert walked.all()
+        assert len(calls) == searches + walked.size
 
     @pytest.mark.parametrize("h", [[1.0, 1.0], [1.0, 0.3], [1.0, 0.3, 0.7], [1e10, 1.0]])
     def test_huge_power_is_a_numeric_range_error(self, h):
